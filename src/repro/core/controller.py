@@ -24,7 +24,7 @@ from contextlib import contextmanager
 from dataclasses import dataclass, field
 from typing import Callable, Dict, Iterable, Iterator, List, Optional, Sequence, Set, Tuple
 
-from ..cluster.cluster import GatewayCluster, Member, NodeState
+from ..cluster.cluster import GatewayCluster, NodeState
 from ..cluster.ecmp import VniSteeredBalancer
 from ..dataplane.gateway_logic import ForwardAction
 from ..net.addr import Prefix
@@ -38,11 +38,13 @@ from ..telemetry.stats import CounterSet
 from ..telemetry.timeseries import SeriesBundle
 from .journal import (
     Journal,
+    StagedOp,
     decode_action,
     decode_binding,
     decode_profile,
     encode_action,
     encode_binding,
+    encode_op,
     encode_profile,
     parse_route_key,
     parse_vm_key,
@@ -106,13 +108,14 @@ class TransactionAborted(TableError):
 class Transaction:
     """A staged batch of table mutations against one cluster.
 
-    Ops are recorded in call order and pushed atomically when the
-    ``with ctl.transaction(...)`` block exits cleanly; raising inside the
-    block discards the batch without touching any gateway.
+    Ops are recorded in call order, as typed :class:`StagedOp` values,
+    and pushed atomically when the ``with ctl.transaction(...)`` block
+    exits cleanly; raising inside the block discards the batch without
+    touching any gateway.
     """
 
     cluster_id: str
-    ops: List[dict] = field(default_factory=list)
+    ops: List[StagedOp] = field(default_factory=list)
     side_effects: List[tuple] = field(default_factory=list)
 
     def stage_side_effect(self, label: str, apply: Callable[[], None],
@@ -126,23 +129,18 @@ class Transaction:
         self.side_effects.append((label, apply, undo))
 
     def install_route(self, route: "RouteEntry") -> None:
-        self.ops.append({"op": "install-route", "cluster": self.cluster_id,
-                         "vni": route.vni, "prefix": str(route.prefix),
-                         "action": encode_action(route.action)})
+        self.ops.append(StagedOp("install-route", self.cluster_id,
+                                 (route.vni, route.prefix), route.action))
 
     def remove_route(self, vni: int, prefix: Prefix) -> None:
-        self.ops.append({"op": "remove-route", "cluster": self.cluster_id,
-                         "vni": vni, "prefix": str(prefix)})
+        self.ops.append(StagedOp("remove-route", self.cluster_id, (vni, prefix)))
 
     def install_vm(self, vm: "VmEntry") -> None:
-        self.ops.append({"op": "install-vm", "cluster": self.cluster_id,
-                         "vni": vm.vni, "vm_ip": vm.vm_ip,
-                         "vm_version": vm.version,
-                         "binding": encode_binding(vm.binding)})
+        self.ops.append(StagedOp("install-vm", self.cluster_id,
+                                 (vm.vni, vm.vm_ip, vm.version), vm.binding))
 
     def remove_vm(self, vni: int, vm_ip: int, version: int) -> None:
-        self.ops.append({"op": "remove-vm", "cluster": self.cluster_id,
-                         "vni": vni, "vm_ip": vm_ip, "vm_version": version})
+        self.ops.append(StagedOp("remove-vm", self.cluster_id, (vni, vm_ip, version)))
 
 
 class Controller:
@@ -561,39 +559,41 @@ class Controller:
             if not bucket:
                 del index[cluster_id][vni]
 
-    def _apply_committed_op(self, cluster_id: str, op: dict) -> None:
+    def _apply_committed_op(self, op: StagedOp) -> None:
         """Fold one prepared transaction op into the desired state (and
-        the per-tenant key index). Called once the op is safely on every
-        member — by the single-cluster commit path and by the cross-shard
-        completion path (``repro.shard``)."""
-        if op["op"] == "install-route":
-            vni, prefix = op["vni"], Prefix.parse(op["prefix"])
-            self._routes[cluster_id][(vni, prefix)] = decode_action(op["action"])
-            self._route_index[cluster_id].setdefault(vni, set()).add(prefix)
-        elif op["op"] == "remove-route":
-            vni, prefix = op["vni"], Prefix.parse(op["prefix"])
-            del self._routes[cluster_id][(vni, prefix)]
-            self._index_discard(self._route_index, cluster_id, vni, prefix)
-        elif op["op"] == "install-vm":
-            vni, vm_ip, version = op["vni"], op["vm_ip"], op["vm_version"]
-            self._vms[cluster_id][(vni, vm_ip, version)] = \
-                decode_binding(op["binding"])
-            self._vm_index[cluster_id].setdefault(vni, set()).add((vm_ip, version))
-        elif op["op"] == "remove-vm":
-            vni, vm_ip, version = op["vni"], op["vm_ip"], op["vm_version"]
-            del self._vms[cluster_id][(vni, vm_ip, version)]
-            self._index_discard(self._vm_index, cluster_id, vni, (vm_ip, version))
-        else:  # pragma: no cover - Transaction only stages the four ops
-            raise TableError(f"unknown transaction op {op['op']!r}")
+        the per-tenant key index)."""
+        vni = op.key[0]
+        if op.is_route:
+            table, index, sub = self._routes, self._route_index, op.key[1]
+        else:
+            table, index, sub = self._vms, self._vm_index, op.key[1:]
+        if op.value is None:
+            del table[op.cluster][op.key]
+            self._index_discard(index, op.cluster, vni, sub)
+        else:
+            table[op.cluster][op.key] = op.value
+            index[op.cluster].setdefault(vni, set()).add(sub)
 
-    def _stage_prev(self, cluster_id: str, op: dict):
-        """The desired-state value an op will overwrite/remove (for
-        validation; per-member undo uses each gateway's own state)."""
-        if op["op"].endswith("-route"):
-            key = (op["vni"], Prefix.parse(op["prefix"]))
-            return self._routes.get(cluster_id, {}).get(key)
-        key = (op["vni"], op["vm_ip"], op["vm_version"])
-        return self._vms.get(cluster_id, {}).get(key)
+    def _stage_prev(self, ops: Sequence[StagedOp]) -> list:
+        """Validate a batch in staged order, before anything is
+        journalled: fold *ops* over an overlay of the desired state and
+        return, per op, the value it overwrites or removes at its place
+        in the batch. A remove of an entry absent at that point (never
+        installed, or already removed earlier in the batch) raises
+        :class:`TableError`."""
+        overlay: dict = {}
+        prevs = []
+        for op in ops:
+            desired = (self._routes if op.is_route else self._vms).get(op.cluster, {})
+            # Route keys are pairs and VM keys triples, so one overlay
+            # holds both without collisions.
+            prev = overlay[op.key] if op.key in overlay else desired.get(op.key)
+            if op.value is None and prev is None:
+                raise TableError(f"transaction removes unknown entry: "
+                                 f"{op.kind} {op.key} on {op.cluster}")
+            overlay[op.key] = op.value
+            prevs.append(prev)
+        return prevs
 
     @staticmethod
     def _vm_lookup(gw, vni: int, vm_ip: int, version: int):
@@ -605,113 +605,97 @@ class Controller:
             table = gw.tables.vm_nc
         return table.lookup(vni, vm_ip, version)
 
-    def _apply_op_to_gateway(self, gw, op: dict, undo: List[Callable[[], None]]) -> None:
-        """Prepare one op on one gateway, pushing its inverse onto *undo*."""
-        if op["op"] == "install-route":
-            vni, prefix = op["vni"], Prefix.parse(op["prefix"])
-            action = decode_action(op["action"])
-            prev = next((a for v, p, a in gw.tables.routing.items()
-                         if v == vni and p == prefix), None)
-            gw.install_route(vni, prefix, action, replace=True)
-            if prev is None:
-                undo.append(lambda: gw.remove_route(vni, prefix))
-            else:
-                undo.append(lambda: gw.install_route(vni, prefix, prev, replace=True))
-        elif op["op"] == "remove-route":
-            vni, prefix = op["vni"], Prefix.parse(op["prefix"])
-            prev = self._routes[op["cluster"]][(vni, prefix)]
-            gw.remove_route(vni, prefix)
-            undo.append(lambda: gw.install_route(vni, prefix, prev, replace=True))
-        elif op["op"] == "install-vm":
-            vni, vm_ip, version = op["vni"], op["vm_ip"], op["vm_version"]
-            binding = decode_binding(op["binding"])
-            prev = self._vm_lookup(gw, vni, vm_ip, version)
-            gw.install_vm(vni, vm_ip, version, binding, replace=True)
-            if prev is None:
-                undo.append(lambda: gw.remove_vm(vni, vm_ip, version))
-            else:
-                undo.append(lambda: gw.install_vm(vni, vm_ip, version, prev, replace=True))
-        elif op["op"] == "remove-vm":
-            vni, vm_ip, version = op["vni"], op["vm_ip"], op["vm_version"]
-            prev = self._vms[op["cluster"]][(vni, vm_ip, version)]
-            gw.remove_vm(vni, vm_ip, version)
-            undo.append(lambda: gw.install_vm(vni, vm_ip, version, prev, replace=True))
-        else:  # pragma: no cover - Transaction only stages the four ops
-            raise TableError(f"unknown transaction op {op['op']!r}")
+    def _apply_op_to_gateway(self, gw, op: StagedOp, prev,
+                             undo: List[Callable[[], None]]) -> None:
+        """Prepare one op on one gateway, pushing its inverse onto *undo*.
+
+        An install's inverse restores what the gateway itself held (one
+        exact-key read); a remove's inverse reinstalls *prev*, the
+        desired value at the op's place in the batch."""
+        key = op.key
+        if op.is_route:
+            install, remove = gw.install_route, gw.remove_route
+        else:
+            install, remove = gw.install_vm, gw.remove_vm
+        if op.value is None:
+            remove(*key)
+            undo.append(lambda: install(*key, prev, replace=True))
+            return
+        held = (gw.tables.routing.get(*key) if op.is_route
+                else self._vm_lookup(gw, *key))
+        install(*key, op.value, replace=True)
+        if held is None:
+            undo.append(lambda: remove(*key))
+        else:
+            undo.append(lambda: install(*key, held, replace=True))
+
+    def _prepare(self, cluster_id: str, ops: Sequence[StagedOp], prevs: list,
+                 undos: List[list]) -> None:
+        """Phase 1 on one cluster: apply the batch member by member
+        (hot backup included). Each member's undo log joins *undos*
+        before its first write, so :meth:`_rollback` also unwinds a
+        member that failed part-way; the member's TableError propagates."""
+        for member in self.clusters[cluster_id].all_members():
+            undo: List[Callable[[], None]] = []
+            undos.append(undo)
+            for op, prev in zip(ops, prevs):
+                self._apply_op_to_gateway(member.gateway, op, prev, undo)
+
+    def _rollback(self, undos: List[list]) -> None:
+        """Run every undo log newest first. Best effort: a failing undo
+        is counted and leaves residue the reconcile loop repairs."""
+        for undo in reversed(undos):
+            for action in reversed(undo):
+                try:
+                    action()
+                except TableError:
+                    self.counters.add("txn_rollback_failures")
+
+    def _finish_commit(self, cluster_id: str, ops: Sequence[StagedOp],
+                       record, time: float) -> None:
+        """Phase 2 on one cluster: the batch is on every member; mark the
+        journal record committed and make the ops the desired state.
+        Shared by the single-cluster path and the cross-shard completion
+        (``repro.shard``)."""
+        if record is not None:
+            self._journal_append("txn-commit", {"txn_seq": record.seq})
+        for op in ops:
+            self._apply_committed_op(op)
+        self.counters.add("txns_committed")
+        self.version += 1
+        self._record_size(cluster_id, time)
 
     def _commit_transaction(self, cluster_id: str, txn: Transaction,
                             time: float) -> None:
-        cluster = self._ensure_cluster(cluster_id)
+        self._ensure_cluster(cluster_id)
         if not txn.ops and not txn.side_effects:
             return
-        # Validate removals against desired state up front, before any
-        # journalling or gateway write.
-        for op in txn.ops:
-            if op["op"].startswith("remove-") and self._stage_prev(cluster_id, op) is None:
-                raise TableError(f"transaction removes unknown entry: {op}")
+        prevs = self._stage_prev(txn.ops)
         record = None
         if txn.ops:
-            record = self._journal_append("txn", {"cluster": cluster_id,
-                                                  "ops": list(txn.ops)})
+            record = self._journal_append("txn", {
+                "cluster": cluster_id, "ops": [encode_op(op) for op in txn.ops]})
             self._crash_point("txn", cluster_id)
-        # Phase 1 — prepare: apply the whole batch member by member,
-        # keeping per-member undo logs.
-        prepared: List[Tuple[Member, List[Callable[[], None]]]] = []
-        failure: Optional[TableError] = None
-        for member in cluster.all_members():
-            if not txn.ops:
-                break
-            undo: List[Callable[[], None]] = []
-            prepared.append((member, undo))
-            try:
-                for op in txn.ops:
-                    self._apply_op_to_gateway(member.gateway, op, undo)
-            except TableError as exc:
-                failure = exc
-                break
-        # Side effects run once every member holds the batch, still
-        # inside the abort envelope: a failing effect unwinds the
-        # already-applied effects and every prepared member.
-        applied_effects: List[Tuple[str, Callable[[], None]]] = []
-        if failure is None:
-            for label, apply_effect, undo_effect in txn.side_effects:
-                try:
-                    apply_effect()
-                except TableError as exc:
-                    failure = exc
-                    break
-                applied_effects.append((label, undo_effect))
-        if failure is not None:
-            # Abort: unwind every effect and member that saw any part of
-            # the batch.
-            for _label, undo_effect in reversed(applied_effects):
-                try:
-                    undo_effect()
-                except TableError:
-                    self.counters.add("txn_rollback_failures")
-            for member, undo in reversed(prepared):
-                for action in reversed(undo):
-                    try:
-                        action()
-                    except TableError:
-                        # Best effort — residue is visible to the
-                        # reconcile loop, which will repair it.
-                        self.counters.add("txn_rollback_failures")
+        undos: List[list] = []
+        try:
+            self._prepare(cluster_id, txn.ops, prevs, undos)
+            # Side effects run once every member holds the batch, still
+            # inside the abort envelope: a failing effect unwinds the
+            # already-applied effects and every prepared member.
+            effects: List[Callable[[], None]] = []
+            undos.append(effects)
+            for _label, apply_effect, undo_effect in txn.side_effects:
+                apply_effect()
+                effects.append(undo_effect)
+        except TableError as failure:
+            self._rollback(undos)
             if record is not None:
                 self._journal_append("txn-abort", {"txn_seq": record.seq})
             self.counters.add("txns_aborted")
             raise TransactionAborted(
                 f"transaction on {cluster_id} aborted: {failure}"
             ) from failure
-        # Phase 2 — commit: the batch is on every member; make it the
-        # desired state and mark the journal record committed.
-        for op in txn.ops:
-            self._apply_committed_op(cluster_id, op)
-        if record is not None:
-            self._journal_append("txn-commit", {"txn_seq": record.seq})
-        self.counters.add("txns_committed")
-        self.version += 1
-        self._record_size(cluster_id, time)
+        self._finish_commit(cluster_id, txn.ops, record, time)
 
     # -- consistency ------------------------------------------------------------
 

@@ -156,6 +156,50 @@ def decode_profile(payload: dict) -> TenantProfile:
                          payload["traffic_bps"])
 
 
+@dataclass(frozen=True)
+class StagedOp:
+    """One typed op of a transaction, as staged.
+
+    *kind* is the journal op name (``install-route``, ``remove-route``,
+    ``install-vm``, ``remove-vm``), *cluster* the owning cluster, *key*
+    the desired-state key — ``(vni, prefix)`` for routes, ``(vni,
+    vm_ip, version)`` for VM bindings — and *value* the new
+    :class:`RouteAction` / :class:`NcBinding` (None for removes). The
+    commit path reads these values directly; :func:`encode_op` turns
+    the op into its journal payload once, at append.
+    """
+
+    kind: str
+    cluster: str
+    key: tuple
+    value: object = None
+
+    @property
+    def is_route(self) -> bool:
+        return self.kind.endswith("-route")
+
+
+def encode_op(op: StagedOp) -> dict:
+    """The journal payload of one staged op (a ``txn`` record's ops).
+
+    >>> encode_op(StagedOp("remove-vm", "A", (7, 0x0A000001, 4)))
+    {'op': 'remove-vm', 'cluster': 'A', 'vni': 7, 'vm_ip': 167772161, 'vm_version': 4}
+    """
+    if op.is_route:
+        vni, prefix = op.key
+        payload = {"op": op.kind, "cluster": op.cluster, "vni": vni,
+                   "prefix": str(prefix)}
+        if op.value is not None:
+            payload["action"] = encode_action(op.value)
+    else:
+        vni, vm_ip, version = op.key
+        payload = {"op": op.kind, "cluster": op.cluster, "vni": vni,
+                   "vm_ip": vm_ip, "vm_version": version}
+        if op.value is not None:
+            payload["binding"] = encode_binding(op.value)
+    return payload
+
+
 def route_key(vni: int, prefix: Prefix) -> str:
     return f"{vni}|{prefix}"
 

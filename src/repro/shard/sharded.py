@@ -48,7 +48,7 @@ from ..core.controller import (
     TransactionAborted,
     VmEntry,
 )
-from ..core.journal import encode_action, encode_binding
+from ..core.journal import StagedOp, encode_op
 from ..core.splitting import ClusterCapacity, TenantProfile
 from ..net.addr import Prefix
 from ..sim.engine import Engine, PeriodicTask
@@ -76,41 +76,35 @@ class CrossShardTransaction:
     def __init__(self, sharded: "ShardedController"):
         self._sharded = sharded
         #: (shard_id, cluster_id) -> staged ops, in call order.
-        self.ops: Dict[Tuple[str, str], List[dict]] = {}
+        self.ops: Dict[Tuple[str, str], List[StagedOp]] = {}
 
-    def _stage(self, owner: int, op: dict) -> None:
+    def _stage(self, owner: int, kind: str, key: tuple, value=None) -> None:
         shard_id = self._sharded.router.shard_of(owner)
         plan = self._sharded.shards[shard_id].controller.plan
         if owner not in plan.assignments:
             raise ShardError(f"VNI {owner} is not placed on shard {shard_id}")
         cluster_id = plan.assignments[owner]
-        op["cluster"] = cluster_id
-        self.ops.setdefault((shard_id, cluster_id), []).append(op)
+        self.ops.setdefault((shard_id, cluster_id), []).append(
+            StagedOp(kind, cluster_id, key, value))
 
     def install_route(self, route: RouteEntry,
                       owner: Optional[int] = None) -> None:
-        self._stage(owner if owner is not None else route.vni,
-                    {"op": "install-route", "vni": route.vni,
-                     "prefix": str(route.prefix),
-                     "action": encode_action(route.action)})
+        self._stage(owner if owner is not None else route.vni, "install-route",
+                    (route.vni, route.prefix), route.action)
 
     def remove_route(self, vni: int, prefix: Prefix,
                      owner: Optional[int] = None) -> None:
-        self._stage(owner if owner is not None else vni,
-                    {"op": "remove-route", "vni": vni,
-                     "prefix": str(prefix)})
+        self._stage(owner if owner is not None else vni, "remove-route",
+                    (vni, prefix))
 
     def install_vm(self, vm: VmEntry, owner: Optional[int] = None) -> None:
-        self._stage(owner if owner is not None else vm.vni,
-                    {"op": "install-vm", "vni": vm.vni,
-                     "vm_ip": vm.vm_ip, "vm_version": vm.version,
-                     "binding": encode_binding(vm.binding)})
+        self._stage(owner if owner is not None else vm.vni, "install-vm",
+                    (vm.vni, vm.vm_ip, vm.version), vm.binding)
 
     def remove_vm(self, vni: int, vm_ip: int, version: int,
                   owner: Optional[int] = None) -> None:
-        self._stage(owner if owner is not None else vni,
-                    {"op": "remove-vm", "vni": vni, "vm_ip": vm_ip,
-                     "vm_version": version})
+        self._stage(owner if owner is not None else vni, "remove-vm",
+                    (vni, vm_ip, version))
 
     def shard_ids(self) -> List[str]:
         return sorted({sid for sid, _cid in self.ops})
@@ -236,15 +230,10 @@ class ShardedController:
         # Deterministic and globally unique: the coordinator's journal
         # position at begin time, namespaced by its shard id.
         xid = f"{coordinator.shard_id}:{coordinator.journal.next_seq}"
-        # Validate removals against desired state before anything is
-        # journalled anywhere.
-        for (sid, cid), ops in xtxn.ops.items():
-            ctl = self.shards[sid].controller
-            for op in ops:
-                if op["op"].startswith("remove-") and \
-                        ctl._stage_prev(cid, op) is None:
-                    raise TableError(
-                        f"cross-shard transaction removes unknown entry: {op}")
+        # Validate every participant's batch in staged order before
+        # anything is journalled anywhere.
+        prevs = {part: self.shards[part[0]].controller._stage_prev(ops)
+                 for part, ops in xtxn.ops.items()}
         # Stage 0 — begin: the coordinator durably names the participants.
         coordinator.controller._journal_append("xtxn-begin", {
             "xid": xid,
@@ -253,31 +242,23 @@ class ShardedController:
         self._crash_point("xtxn-begin", coordinator.shard_id)
         # Stage 1 — prepare each participant: journal the xid-tagged txn
         # record, then apply the batch to every member with undo logs.
-        prepared: List[Tuple[ControllerShard, str, object, list]] = []
-        failure: Optional[TableError] = None
+        prepared: List[Tuple[Controller, object, List[list]]] = []
         for (sid, cid) in participants:
-            shard = self.shards[sid]
-            ctl = shard.controller
+            ctl = self.shards[sid].controller
+            ops = xtxn.ops[(sid, cid)]
             record = ctl._journal_append("txn", {
-                "cluster": cid, "xid": xid, "ops": list(xtxn.ops[(sid, cid)]),
+                "cluster": cid, "xid": xid, "ops": [encode_op(op) for op in ops],
             })
-            member_undos: list = []
-            prepared.append((shard, cid, record, member_undos))
+            undos: List[list] = []
+            prepared.append((ctl, record, undos))
             try:
-                for member in ctl.clusters[cid].all_members():
-                    undo: list = []
-                    member_undos.append((member, undo))
-                    for op in xtxn.ops[(sid, cid)]:
-                        ctl._apply_op_to_gateway(member.gateway, op, undo)
-            except TableError as exc:
-                failure = exc
-                break
+                ctl._prepare(cid, ops, prevs[(sid, cid)], undos)
+            except TableError as failure:
+                self._abort_cross(coordinator, xid, prepared)
+                raise TransactionAborted(
+                    f"cross-shard transaction {xid} aborted: {failure}"
+                ) from failure
             self._crash_point("xtxn-prepare", sid)
-        if failure is not None:
-            self._abort_cross(coordinator, xid, prepared)
-            raise TransactionAborted(
-                f"cross-shard transaction {xid} aborted: {failure}"
-            ) from failure
         # Stage 2 — decide: one durable record is the commit point.
         self._crash_point("xtxn-decide", coordinator.shard_id)
         coordinator.controller._journal_append("xtxn-commit", {"xid": xid})
@@ -285,29 +266,17 @@ class ShardedController:
         # committed and folds the ops into desired state. A crash in
         # here leaves in-doubt prepares that recovery resolves as
         # committed (the decision is already durable).
-        for (shard, cid, record, _undos) in prepared:
-            self._crash_point("xtxn-complete", shard.shard_id)
-            ctl = shard.controller
-            ctl._journal_append("txn-commit", {"txn_seq": record.seq})
-            for op in xtxn.ops[(shard.shard_id, cid)]:
-                ctl._apply_committed_op(cid, op)
-            ctl.counters.add("txns_committed")
-            ctl.version += 1
-            ctl._record_size(cid, time)
+        for (sid, cid), (ctl, record, _undos) in zip(participants, prepared):
+            self._crash_point("xtxn-complete", sid)
+            ctl._finish_commit(cid, xtxn.ops[(sid, cid)], record, time)
         self.counters.add("xtxns_committed")
 
     def _abort_cross(self, coordinator: ControllerShard, xid: str,
-                     prepared: List[Tuple[ControllerShard, str, object, list]]) -> None:
+                     prepared: List[Tuple[Controller, object, List[list]]]) -> None:
         """Unwind every member that saw any part of the batch, journal
         the abort markers, and record the coordinator's durable abort."""
-        for shard, _cid, record, member_undos in reversed(prepared):
-            ctl = shard.controller
-            for _member, undo in reversed(member_undos):
-                for action in reversed(undo):
-                    try:
-                        action()
-                    except TableError:
-                        ctl.counters.add("txn_rollback_failures")
+        for ctl, record, undos in reversed(prepared):
+            ctl._rollback(undos)
             ctl._journal_append("txn-abort", {"txn_seq": record.seq})
             ctl.counters.add("txns_aborted")
         coordinator.controller._journal_append("xtxn-abort", {"xid": xid})

@@ -119,6 +119,28 @@ class VxlanRoutingTable:
             self.hits += 1
         return hit
 
+    def get(self, vni: int, prefix: Prefix) -> Optional[RouteAction]:
+        """The action stored at exactly ``(vni, prefix)``, or None.
+
+        One trie descent, no longest-prefix match: a covering prefix
+        does not answer for an absent one. A control-plane readback, so
+        ``lookups``, ``hits`` and ``generation`` do not move.
+
+        >>> table = VxlanRoutingTable()
+        >>> table.insert(10, Prefix.parse("10.0.0.0/8"), RouteAction(Scope.LOCAL))
+        >>> table.get(10, Prefix.parse("10.0.0.0/8")).scope.value
+        'local'
+        >>> table.get(10, Prefix.parse("10.1.0.0/16")) is None
+        True
+        """
+        trie = self._trie(vni, prefix.version, create=False)
+        if trie is None:
+            return None
+        try:
+            return trie.get(prefix)
+        except MissingEntryError:
+            return None
+
     def resolve(self, vni: int, address: int, version: int, max_hops: int = 8) -> Resolution:
         """Follow PEER next-hop VNIs until a terminal scope (Fig. 2).
 

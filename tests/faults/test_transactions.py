@@ -5,7 +5,7 @@ import ipaddress
 
 import pytest
 
-from tests.faults.helpers import make_controller, onboard
+from tests.faults.helpers import ip, make_controller, onboard
 
 from repro.core.controller import RouteEntry, TransactionAborted, VmEntry
 from repro.core.journal import ControllerCrash, Journal
@@ -135,6 +135,37 @@ class TestAbort:
                 txn.remove_route(100, Prefix.parse("203.0.113.0/24"))
         assert ctrl.journal.appends == appends_before
         assert plan.write_index == 0
+
+    def test_install_then_remove_in_one_batch_commits(self):
+        ctrl, plan, cluster_id, routes, _vms = arm_after_onboard()
+        route = batch_routes(1)[0]
+        vm = VmEntry(100, ip("192.168.10.77"), 4, NcBinding(ip("10.1.1.77")))
+        with ctrl.transaction(cluster_id) as txn:
+            txn.install_route(route)
+            txn.install_vm(vm)
+            txn.remove_route(100, route.prefix)
+            txn.remove_vm(100, vm.vm_ip, 4)
+        # Validation folded the batch in staged order, so the removes
+        # found the entries the same batch installed.
+        assert ctrl.counters["txns_committed"] == 1
+        assert ctrl.route_count(cluster_id) == 1
+        for member in ctrl.clusters[cluster_id].all_members():
+            assert installed_prefixes(member.gateway) == {routes[0].prefix}
+        assert ctrl.consistency_check(cluster_id) == []
+        assert ctrl.journal.materialize() == ctrl.intent_snapshot()
+
+    def test_double_remove_rejected_before_any_journal_write(self):
+        ctrl, plan, cluster_id, routes, _vms = arm_after_onboard()
+        appends_before = ctrl.journal.appends
+        with pytest.raises(TableError, match="unknown entry"):
+            with ctrl.transaction(cluster_id) as txn:
+                txn.remove_route(100, routes[0].prefix)
+                txn.remove_route(100, routes[0].prefix)
+        # No txn record, no gateway write, no state change.
+        assert ctrl.journal.appends == appends_before
+        assert plan.write_index == 0
+        assert ctrl.route_count(cluster_id) == 1
+        assert ctrl.consistency_check(cluster_id) == []
 
     def test_batch_with_removes_rolls_back_removes_too(self):
         ctrl, _plan, cluster_id, routes, vms = arm_after_onboard(

@@ -94,6 +94,32 @@ class TestCrossShardCommit:
                 xtxn.install_route(RouteEntry(424242, Prefix.parse("10.0.0.0/8"),
                                               RouteAction(Scope.LOCAL)))
 
+    def test_install_then_remove_in_one_batch_commits(self):
+        sharded = region_with_tenants()
+        a, b = SHARD_VNIS[0], SHARD_VNIS[2]
+        intents_before = sharded.intent_snapshot()
+        vm = VmEntry(b, ip("192.168.10.50"), 4, NcBinding(ip("10.1.1.50")))
+        with sharded.cross_transaction() as xtxn:
+            stage_peer_chain(xtxn, a, b)
+            xtxn.install_vm(vm, owner=a)
+            # Take the whole chain back out within the same batch.
+            xtxn.remove_route(a, subnet_of(b))
+            xtxn.remove_route(b, subnet_of(b), owner=a)
+            xtxn.remove_route(b, subnet_of(a))
+            xtxn.remove_route(a, subnet_of(a), owner=b)
+            xtxn.remove_vm(b, vm.vm_ip, 4, owner=a)
+        assert sharded.counters["xtxns_committed"] == 1
+        # Each participant journalled a txn + txn-commit; the net change
+        # to intent and to every gateway is nothing.
+        intents = sharded.intent_snapshot()
+        for sid in intents:
+            intents[sid]["version"] = intents_before[sid]["version"]
+        assert intents == intents_before
+        assert sharded.consistency_check() == {}
+        for sid, shard in sharded.shards.items():
+            assert shard.journal.materialize() == \
+                shard.controller.intent_snapshot()
+
     def test_vm_moves_ride_the_same_protocol(self):
         sharded = region_with_tenants()
         a, b = SHARD_VNIS[0], SHARD_VNIS[3]
@@ -115,6 +141,20 @@ class TestCrossShardAbort:
                 xtxn.remove_route(SHARD_VNIS[2], Prefix.parse("1.2.3.0/24"))
         assert {sid: s.journal.appends
                 for sid, s in sharded.shards.items()} == appends
+
+    def test_double_remove_rejected_before_any_journal_write(self):
+        sharded = region_with_tenants()
+        a, b = SHARD_VNIS[0], SHARD_VNIS[2]
+        appends = {sid: s.journal.appends for sid, s in sharded.shards.items()}
+        with pytest.raises(TableError, match="unknown entry"):
+            with sharded.cross_transaction() as xtxn:
+                xtxn.remove_route(a, subnet_of(a))
+                xtxn.remove_route(b, subnet_of(b))
+                xtxn.remove_route(b, subnet_of(b))
+        assert {sid: s.journal.appends
+                for sid, s in sharded.shards.items()} == appends
+        assert sharded.counters["xtxns_aborted"] == 0
+        assert sharded.consistency_check() == {}
 
     def test_member_failure_rolls_back_every_shard(self):
         sharded = region_with_tenants()

@@ -3,6 +3,8 @@
 import ipaddress
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.net.addr import Prefix
 from repro.tables.errors import MissingEntryError
@@ -183,3 +185,69 @@ class TestCompositeKeys:
             assert (direct is None) == (via_alpm is None)
             if direct is not None:
                 assert via_alpm[2] == direct[1]
+
+
+# -- exact-key readback -----------------------------------------------------
+
+#: Prefixes from a small space (top 6 bits, /0-/6) so random ops nest,
+#: collide and cover each other often; both families.
+_prefixes = st.builds(
+    lambda version, top, length: Prefix.of(top << ((32 if version == 4 else 128) - 6),
+                                           length, version),
+    st.sampled_from((4, 6)), st.integers(0, 63), st.integers(0, 6))
+_actions = st.sampled_from((RouteAction(Scope.LOCAL),
+                            RouteAction(Scope.SERVICE, target="snat"),
+                            RouteAction(Scope.PEER, next_hop_vni=3)))
+_keys = st.tuples(st.integers(1, 4), _prefixes)
+
+
+def _counters(table):
+    return table.lookups, table.hits, table.generation
+
+
+class TestExactGet:
+    @settings(max_examples=80, deadline=None)
+    @given(ops=st.lists(st.tuples(st.booleans(), _keys, _actions), max_size=40),
+           probes=st.lists(_keys, max_size=20))
+    def test_get_agrees_with_an_items_scan(self, ops, probes):
+        table = VxlanRoutingTable()
+        model = set()
+        for insert, (vni, prefix), action in ops:
+            if insert:
+                table.insert(vni, prefix, action, replace=True)
+                model.add((vni, prefix))
+            elif (vni, prefix) in model:
+                table.remove(vni, prefix)
+                model.discard((vni, prefix))
+        oracle = {(vni, prefix): action for vni, prefix, action in table.items()}
+        before = _counters(table)
+        for vni, prefix in list(oracle) + probes:
+            assert table.get(vni, prefix) == oracle.get((vni, prefix))
+        assert _counters(table) == before
+
+    def test_unknown_vni(self, fig2_table):
+        before = _counters(fig2_table)
+        assert fig2_table.get(999, Prefix.parse("192.168.10.0/24")) is None
+        assert _counters(fig2_table) == before
+
+    def test_absent_prefix_under_a_present_covering_prefix(self, fig2_table):
+        # 192.168.10.0/24 covers it, and an LPM lookup would answer with
+        # that route; the exact getter must not.
+        inner = Prefix.parse("192.168.10.0/28")
+        assert fig2_table.lookup(VPC_A, inner.network, 4) is not None
+        before = _counters(fig2_table)
+        assert fig2_table.get(VPC_A, inner) is None
+        assert fig2_table.get(VPC_A, Prefix.parse("192.168.10.0/24")) == \
+            RouteAction(Scope.LOCAL)
+        assert _counters(fig2_table) == before
+
+    def test_trie_deleted_after_its_last_remove(self):
+        table = VxlanRoutingTable()
+        prefix = Prefix.parse("2001:db8::/32")
+        table.insert(5, prefix, RouteAction(Scope.LOCAL))
+        assert table.get(5, prefix) == RouteAction(Scope.LOCAL)
+        table.remove(5, prefix)
+        assert table.vnis() == []
+        before = _counters(table)
+        assert table.get(5, prefix) is None
+        assert _counters(table) == before
