@@ -8,9 +8,9 @@ clean multi-tenant region, checks the zero-false-positive property
 full-scan latency and the per-tick cost at a small budget, and asserts
 the per-tick cost stays well below the full-scan cost.
 
-Writes ``BENCH_audit.json`` (set ``AUDIT_ARTIFACT_DIR`` to choose
-where; defaults to the working directory) so CI accrues the audit cost
-trajectory per PR.
+Writes ``BENCH_audit.json`` (under ``$REPRO_ARTIFACT_DIR/audit/`` when
+set, else the working directory) so CI accrues the audit cost trajectory
+per PR.
 """
 
 import json
@@ -20,6 +20,7 @@ import time
 from conftest import emit
 from repro.audit import AuditConfig, AuditScanner
 from repro.core.sailfish import RegionSpec, Sailfish
+from repro.telemetry.artifacts import artifact_dir
 
 SEED = 2021
 BUDGET = 4
@@ -36,8 +37,7 @@ def best_seconds(fn):
 
 
 def save_artifact(payload):
-    art_dir = os.environ.get("AUDIT_ARTIFACT_DIR", ".")
-    os.makedirs(art_dir, exist_ok=True)
+    art_dir = artifact_dir("audit", default=".")
     with open(os.path.join(art_dir, "BENCH_audit.json"), "w") as fh:
         json.dump(payload, fh, indent=2, sort_keys=True)
 

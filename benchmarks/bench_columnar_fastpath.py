@@ -13,10 +13,10 @@ bench, with a DENY ACL rule and a metered VNI mixed in, and checks:
 * >= 10x packet-rate speedup for the columnar path over the uncached
   scalar walk, measured burst-for-burst including batch shredding.
 
-Writes ``BENCH_columnar.json`` (set ``COLUMNAR_ARTIFACT_DIR`` to choose
-where; defaults to the working directory) so CI accrues the batch-path
-perf trajectory per PR — the artifact is written before the speedup
-gate so a failing run still uploads its numbers.
+Writes ``BENCH_columnar.json`` (under ``$REPRO_ARTIFACT_DIR/columnar/``
+when set, else the working directory) so CI accrues the batch-path perf
+trajectory per PR — the artifact is written before the speedup gate so
+a failing run still uploads its numbers.
 """
 
 import ipaddress
@@ -33,6 +33,7 @@ from repro.tables.acl import AclRule, AclVerdict
 from repro.tables.meter import TokenBucket
 from repro.tables.vm_nc import NcBinding
 from repro.tables.vxlan_routing import RouteAction, Scope
+from repro.telemetry.artifacts import artifact_dir
 from repro.workloads.traffic import build_vxlan_packet
 from repro.x86.gateway import XgwX86
 
@@ -160,8 +161,7 @@ def check_equivalence(backend_name, packets):
 
 
 def save_artifact(payload):
-    art_dir = os.environ.get("COLUMNAR_ARTIFACT_DIR", ".")
-    os.makedirs(art_dir, exist_ok=True)
+    art_dir = artifact_dir("columnar", default=".")
     with open(os.path.join(art_dir, "BENCH_columnar.json"), "w") as fh:
         json.dump(payload, fh, indent=2, sort_keys=True)
 

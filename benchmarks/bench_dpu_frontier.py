@@ -20,8 +20,9 @@ occupancy) AND lower x86 spend at equal-or-lower loss — and that the
 planner's decision log + budget snapshots are byte-identical for equal
 seeds.
 
-Writes ``BENCH_dpu.json`` plus the decision logs (set
-``DPU_ARTIFACT_DIR`` to choose where; CI uploads them on failure).
+Writes ``BENCH_dpu.json`` plus the decision logs (under
+``$REPRO_ARTIFACT_DIR/dpu/`` when set, else the working directory; CI
+uploads them on failure).
 """
 
 import json
@@ -45,6 +46,7 @@ from repro.offload import (
 )
 from repro.sim.engine import Engine
 from repro.tables.vxlan_routing import RouteAction, Scope
+from repro.telemetry.artifacts import artifact_dir
 from repro.workloads.flows import heavy_hitter_flows
 from repro.x86.cpu import DEFAULT_CORE_PPS
 from repro.x86.gateway import XgwX86
@@ -167,8 +169,7 @@ def frontier_point(loop, actor):
 
 
 def save_artifacts(payload, planner_dump):
-    art_dir = os.environ.get("DPU_ARTIFACT_DIR", ".")
-    os.makedirs(art_dir, exist_ok=True)
+    art_dir = artifact_dir("dpu", default=".")
     with open(os.path.join(art_dir, "BENCH_dpu.json"), "w") as fh:
         json.dump(payload, fh, indent=2, sort_keys=True)
     with open(os.path.join(art_dir, "dpu-frontier.decisions.log"), "w") as fh:

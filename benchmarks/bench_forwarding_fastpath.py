@@ -6,15 +6,17 @@ flow pays the full walk (ACL + meters + PEER-chained VXLAN routing +
 VM-NC + rewrite) and later packets replay the cached terminal decision.
 This bench drives a Zipf(1.1) workload over service-chained VPC peering
 (three PEER hops to the terminal VPC) through two identical XGW-x86
-boxes — one with the cache, one forced onto the slow path — and checks:
+boxes — the default one, whose columnar batch path runs over the
+decision memo, and one forced onto the uncached scalar walk — and
+checks:
 
 * byte-identical results and identical counter/meter state either way;
 * a cache hit rate >= 0.9 on the Zipf stream (the head flows dominate);
 * >= 5x packet-rate speedup for the cached box at steady state.
 
-Writes ``BENCH_fastpath.json`` (set ``FASTPATH_ARTIFACT_DIR`` to choose
-where; defaults to the working directory) so CI accrues the fast-path
-perf trajectory per PR.
+Writes ``BENCH_fastpath.json`` (under ``$REPRO_ARTIFACT_DIR/fastpath/``
+when set, else the working directory) so CI accrues the fast-path perf
+trajectory per PR.
 """
 
 import ipaddress
@@ -28,6 +30,7 @@ from repro.net.addr import Prefix
 from repro.sim.rand import WeightedSampler, derive, zipf_weights
 from repro.tables.vm_nc import NcBinding
 from repro.tables.vxlan_routing import RouteAction, Scope
+from repro.telemetry.artifacts import artifact_dir
 from repro.workloads.traffic import build_vxlan_packet
 from repro.x86.gateway import XgwX86
 
@@ -91,19 +94,18 @@ def best_pass_seconds(gateway, packets):
 
 
 def save_artifact(payload):
-    art_dir = os.environ.get("FASTPATH_ARTIFACT_DIR", ".")
-    os.makedirs(art_dir, exist_ok=True)
+    art_dir = artifact_dir("fastpath", default=".")
     with open(os.path.join(art_dir, "BENCH_fastpath.json"), "w") as fh:
         json.dump(payload, fh, indent=2, sort_keys=True)
 
 
 def test_fastpath_speedup(benchmark):
     packets = build_workload()
-    # This bench measures the *flow-cache* fast path specifically, so
-    # both boxes pin columnar=False (the columnar batch path has its own
-    # bench: bench_columnar_fastpath.py).
-    cached = XgwX86(gateway_ip=GATEWAY_IP, tables=build_tables(),
-                    columnar=False)
+    # The cached box is the default gateway: its columnar batch path
+    # reads and fills the one decision memo (``flow_cache``) and counts
+    # hits per lane. The uncached box walks every packet through the
+    # scalar program.
+    cached = XgwX86(gateway_ip=GATEWAY_IP, tables=build_tables())
     uncached = XgwX86(gateway_ip=GATEWAY_IP, tables=build_tables(),
                       cache_entries=0, columnar=False)
 

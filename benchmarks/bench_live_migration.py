@@ -16,8 +16,9 @@ fault injector, audit scanner + repair bridge — and checks:
   same seed — the replayability property that makes fault runs
   debuggable.
 
-Writes per-scenario event logs and a run summary when
-``MIGRATION_ARTIFACT_DIR`` is set (CI uploads them on failure).
+Writes per-scenario event logs and a run summary under
+``$REPRO_ARTIFACT_DIR/migration/`` when that variable is set (CI uploads
+them on failure).
 
 Benchmarks the full clean-migration cycle (freeze -> commit -> replay)
 as the hot path.
@@ -47,6 +48,7 @@ from repro.net.addr import Prefix
 from repro.sim.engine import Engine
 from repro.tables.vm_nc import NcBinding
 from repro.tables.vxlan_routing import RouteAction, Scope
+from repro.telemetry.artifacts import artifact_dir
 from repro.x86.gateway import XgwX86
 
 
@@ -165,10 +167,9 @@ def audit_repair_cycle(crashed):
 
 
 def save_artifacts(results):
-    art_dir = os.environ.get("MIGRATION_ARTIFACT_DIR")
-    if not art_dir:
+    art_dir = artifact_dir("migration")
+    if art_dir is None:
         return
-    os.makedirs(art_dir, exist_ok=True)
     summary = {}
     for name, out in results.items():
         with open(os.path.join(art_dir, f"{name}.events.log"), "wb") as fh:

@@ -8,8 +8,9 @@ and checks the closed loop's promises: steady-state x86 loss under
 byte-identical decision log for equal seeds. Benchmarks one full
 measure→detect→migrate interval.
 
-Set ``OFFLOAD_ARTIFACT_DIR`` to save the decision log + run summary
-(CI uploads them on failure, like the crash-recovery journals).
+Set ``REPRO_ARTIFACT_DIR`` to save the decision log + run summary under
+``<dir>/offload/`` (CI uploads them on failure, like the crash-recovery
+journals).
 """
 
 import ipaddress
@@ -33,6 +34,7 @@ from repro.offload import (
 )
 from repro.sim.engine import Engine
 from repro.tables.vxlan_routing import RouteAction, Scope
+from repro.telemetry.artifacts import artifact_dir
 from repro.workloads.flows import heavy_hitter_flows
 from repro.x86.cpu import DEFAULT_CORE_PPS
 from repro.x86.gateway import XgwX86
@@ -82,10 +84,9 @@ def run_loop(seed=SEED):
 
 def save_artifacts(name, scheduler, loop):
     """Drop the decision log + run summary where CI can upload them."""
-    art_dir = os.environ.get("OFFLOAD_ARTIFACT_DIR")
-    if not art_dir:
+    art_dir = artifact_dir("offload")
+    if art_dir is None:
         return
-    os.makedirs(art_dir, exist_ok=True)
     with open(os.path.join(art_dir, f"{name}.decisions.log"), "w") as fh:
         fh.write(scheduler.decision_log_text())
     summary = {

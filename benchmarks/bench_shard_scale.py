@@ -25,7 +25,7 @@ append, per-member prepare, and commit.
 
 Scaled down by env knobs for CI (see .github/workflows/ci.yml, which
 runs a 50k-VNI smoke and the 1k/16k real-member run); the run emits
-``BENCH_shard.json`` under ``SHARD_ARTIFACT_DIR`` (default: the
+``BENCH_shard.json`` under ``$REPRO_ARTIFACT_DIR/shard/`` (default: the
 working directory).
 """
 
@@ -48,6 +48,7 @@ from repro.shard import ShardedController
 from repro.sim.rand import derive
 from repro.tables.vm_nc import NcBinding
 from repro.tables.vxlan_routing import RouteAction, Scope
+from repro.telemetry.artifacts import artifact_dir
 
 NUM_VNIS = int(os.environ.get("SHARD_BENCH_VNIS", "1000000"))
 ROUTES_PER = int(os.environ.get("SHARD_BENCH_ROUTES_PER", "10"))
@@ -229,8 +230,7 @@ def artifact():
     written once they have run, failed ones included."""
     sections = {}
     yield sections
-    art_dir = os.environ.get("SHARD_ARTIFACT_DIR", ".")
-    os.makedirs(art_dir, exist_ok=True)
+    art_dir = artifact_dir("shard", default=".")
     with open(os.path.join(art_dir, "BENCH_shard.json"), "w") as fh:
         json.dump(sections, fh, indent=2, sort_keys=True)
 

@@ -311,8 +311,9 @@ class CounterConservation(Invariant):
 
 
 class FlowCacheCoherence(Invariant):
-    """Every *current-generation* cache entry must equal a fresh
-    recompute against the live tables.
+    """Every *current-generation* entry of an XGW-x86 decision memo
+    (``flow_cache``, shared by ``forward`` and ``forward_batch``) must
+    equal a fresh recompute against the live tables.
 
     Stale-generation entries are skipped — the cache's own guard lazily
     drops those. What this invariant catches is the opposite: an entry

@@ -10,8 +10,9 @@ VM comparison is one-way); the audit is the only producer, and
 ``_repair_one`` withdraws the surviving binding.
 
 Poisoned flow-cache entries are not table state, so they take a
-different repair: the member's cache is flushed and the next packets
-re-resolve against the (by then repaired) tables.
+different repair: the member's decision memo (the one ``forward`` and
+``forward_batch`` share) is flushed and the next packets re-resolve
+against the (by then repaired) tables.
 
 Non-repairable findings — shadowed rules, tenant leaks, counter
 mismatches, intent/journal divergence — are operator-facing: they are

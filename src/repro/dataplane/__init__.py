@@ -1,6 +1,6 @@
 """Gateway forwarding semantics shared by hardware and software gateways."""
 
-from .flowcache import CacheEntry, FlowCache, forward_cached, forward_cached_batch
+from .flowcache import FlowCache, KeyDecision, forward_cached
 from .gateway_logic import (
     DropReason,
     ForwardAction,
@@ -28,19 +28,18 @@ from .services import SnatService
 
 __all__ = [
     "BufferedPacket",
-    "CacheEntry",
     "DropReason",
     "FlowCache",
     "ForwardAction",
     "ForwardResult",
     "GatewayTables",
+    "KeyDecision",
     "MigrationBuffer",
     "MigrationState",
     "count_drop",
     "ensure_migration_state",
     "forward",
     "forward_cached",
-    "forward_cached_batch",
     "inner_flow_key",
     "vni_key",
     "SplitVmNc",

@@ -11,6 +11,7 @@ See DESIGN.md §13. Entry points:
   pure-python column storage (numpy is the optional ``fast`` extra).
 """
 
+from ..flowcache import KeyDecision
 from .backend import (
     BACKEND_ENV,
     NumpyBackend,
@@ -19,7 +20,7 @@ from .backend import (
     resolve_backend,
 )
 from .batch import PacketBatch
-from .compiler import BatchCompiler, BatchTally, CompiledAcl, CompiledProgram, KeyDecision
+from .compiler import BatchCompiler, BatchTally, CompiledAcl, CompiledProgram
 
 __all__ = [
     "BACKEND_ENV",

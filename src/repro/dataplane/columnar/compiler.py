@@ -16,16 +16,17 @@ array operations instead of ALUs:
 2. **meter** — per-key token buckets charge their lanes as one run in
    lane order (bucket state depends only on its own ordered charge
    sequence); VNIs with no bucket settle GREEN in a single update.
-3. **decide** — terminal decisions (routing resolution incl. PEER
-   chains + VM-NC lookup) are computed once per unique
-   ``(VNI, inner dst, version)`` key and memoized for the program's
-   lifetime; the memo is discarded with the program when any table
-   generation moves.
+3. **decide** — each unique ``(VNI, inner dst, version)`` key is
+   looked up in the gateway's decision memo
+   (:class:`~repro.dataplane.flowcache.FlowCache`, owned by the
+   :class:`BatchCompiler` and shared with the single-packet path);
+   missing or stale keys are resolved once (routing incl. PEER chains +
+   VM-NC lookup) and inserted under the program's generation vector.
 4. **assemble** — decisions scatter-gather back into per-lane
    :class:`~repro.dataplane.gateway_logic.ForwardResult` objects, with
    DELIVER rewrites replayed from a captured header template
    (identical input headers yield identical — shared, immutable —
-   output headers, the flow cache's rewrite-result trick).
+   output headers).
 
 Per-packet verdicts (ACL deny, meter red) are never memoized; counters
 and meters settle to byte-identical state vs the scalar oracle
@@ -49,19 +50,15 @@ from __future__ import annotations
 
 from typing import Dict, List, Optional, Tuple
 
-from ...net.headers import VXLAN
-from ...net.packet import Packet
 from ...tables.acl import AclVerdict
-from ...tables.errors import MissingEntryError
 from ...tables.meter import MeterColor
-from ...tables.vxlan_routing import RoutingLoopError, Scope
+from ..flowcache import FlowCache, resolve_keys
 from ..gateway_logic import ForwardAction, ForwardResult, GatewayTables, vni_key
 from .batch import PacketBatch
 
 _DROP = ForwardAction.DROP
 _DELIVER = ForwardAction.DELIVER_NC
 _REDIRECT = ForwardAction.REDIRECT_X86
-_UPLINK = ForwardAction.UPLINK
 
 _MASK64 = (1 << 64) - 1
 
@@ -87,82 +84,6 @@ _FATE_DETAILS = {
 #: to bytes exactly as :attr:`repro.tofino.phv.Bridge.wire_overhead_bytes`.
 _BRIDGE1_BYTES = (24 + 3 + 7) // 8
 _BRIDGE23_BYTES = (24 + 3 + 32 + 7) // 8
-
-
-class KeyDecision:
-    """The memoized terminal decision for one (VNI, dst, version) key.
-
-    Mirrors :class:`~repro.dataplane.flowcache.CacheEntry`, with the
-    rewrite template captured lazily on the first :meth:`build` and a
-    prototype (packet, result) pair so replayed bursts of interned
-    packets reuse the frozen result object instead of re-allocating it.
-    """
-
-    __slots__ = ("action", "detail", "resolved_vni", "nc_ip", "rewrite_vni",
-                 "outer_in", "outer_out", "vx_flags", "vx_out",
-                 "proto_packet", "proto_result")
-
-    def __init__(self):
-        self.action: Optional[ForwardAction] = None
-        self.detail = ""
-        self.resolved_vni: Optional[int] = None
-        self.nc_ip: Optional[int] = None
-        self.rewrite_vni: Optional[int] = None
-        self.outer_in = None
-        self.outer_out = None
-        self.vx_flags: Optional[int] = None
-        self.vx_out = None
-        self.proto_packet: Optional[Packet] = None
-        self.proto_result: Optional[ForwardResult] = None
-
-    def build(self, packet: Packet, gateway_ip: int, hw: bool) -> ForwardResult:
-        """The ForwardResult for *packet* under this decision.
-
-        *hw* selects the XGW-H result shape (no ``resolved_vni``,
-        DELIVER detail fixed to ``"local"``) vs the XGW-x86 one.
-        """
-        action = self.action
-        if action is _DELIVER:
-            pip = packet.ip
-            outer_in = self.outer_in
-            if pip is outer_in or pip == outer_in:
-                new_ip = self.outer_out
-            else:
-                new_ip = pip.replace_src_dst(gateway_ip, self.nc_ip)
-                if outer_in is None:
-                    self.outer_in = pip
-                    self.outer_out = new_ip
-            vxlan = packet.vxlan
-            if self.rewrite_vni is not None:
-                flags = vxlan.flags
-                if flags == self.vx_flags:
-                    vxlan = self.vx_out
-                else:
-                    new_vx = VXLAN(vni=self.rewrite_vni, flags=flags)
-                    if self.vx_flags is None:
-                        self.vx_flags = flags
-                        self.vx_out = new_vx
-                    vxlan = new_vx
-            out = Packet(eth=packet.eth, ip=new_ip, l4=packet.l4,
-                         vxlan=vxlan, inner=packet.inner,
-                         payload=packet.payload)
-            if hw:
-                result = ForwardResult(action, out, detail="local",
-                                       nc_ip=self.nc_ip)
-            else:
-                result = ForwardResult(action, out, detail=self.detail,
-                                       resolved_vni=self.resolved_vni,
-                                       nc_ip=self.nc_ip)
-        elif hw:
-            result = ForwardResult(action, packet, detail=self.detail)
-        else:
-            result = ForwardResult(action, packet, detail=self.detail,
-                                   resolved_vni=self.resolved_vni,
-                                   nc_ip=self.nc_ip)
-        if self.proto_packet is None:
-            self.proto_packet = packet
-            self.proto_result = result
-        return result
 
 
 class CompiledAcl:
@@ -298,9 +219,10 @@ class CompiledProgram:
     """One gateway's placed program, compiled for whole-burst execution.
 
     Valid only while :attr:`generations` equals the live table
-    generation vector — the owner recompiles (dropping the key memo and
-    rewrite templates) whenever any guarded table mutates, exactly like
-    a stale flow-cache entry.
+    generation vector — the owner recompiles whenever any guarded table
+    mutates. Key decisions live in the compiler's shared *memo*, which
+    outlives the program: each entry carries its own generation vector,
+    and a recompile drops only the entries the new vector retires.
     """
 
     __slots__ = ("tables", "gateway_ip", "generations", "classifier",
@@ -308,66 +230,15 @@ class CompiledProgram:
 
     def __init__(self, tables: GatewayTables, gateway_ip: int,
                  generations: tuple, classifier: Optional[CompiledAcl],
-                 split_vm_nc=None, watch_snat: bool = False):
+                 memo: FlowCache, split_vm_nc=None, watch_snat: bool = False):
         self.tables = tables
         self.gateway_ip = gateway_ip
         self.generations = generations
         self.classifier = classifier
+        self.memo = memo
         self.split_vm_nc = split_vm_nc
         self.hw = split_vm_nc is not None
         self.watch_snat = watch_snat
-        self.memo: Dict[tuple, KeyDecision] = {}
-
-    # -- decide (once per unique key) -----------------------------------
-
-    def _resolve_keys(self, keys: List[tuple]) -> None:
-        """Memoize decisions for *keys* via the bulk table helpers."""
-        tables = self.tables
-        memo = self.memo
-        local: List[tuple] = []
-        for key, res in zip(keys, tables.routing.resolve_many(keys)):
-            d = KeyDecision()
-            memo[key] = d
-            if isinstance(res, MissingEntryError):
-                d.action = _DROP
-                d.detail = "no-route"
-                continue
-            if isinstance(res, RoutingLoopError):
-                d.action = _DROP
-                d.detail = "peer-loop"
-                continue
-            scope = res.action.scope
-            if scope is Scope.LOCAL:
-                local.append((key, res, d))
-            elif scope is Scope.SERVICE:
-                d.action = _REDIRECT
-                d.detail = res.action.target or "service"
-                d.resolved_vni = res.vni
-            else:
-                d.action = _UPLINK
-                d.detail = res.action.target or scope.value
-                d.resolved_vni = res.vni
-        if not local:
-            return
-        if self.hw:
-            split = self.split_vm_nc
-            bindings = [split.lookup(res.vni, key[1], key[2])
-                        for key, res, _d in local]
-        else:
-            bindings = tables.vm_nc.lookup_many(
-                [(res.vni, key[1], key[2]) for key, res, _d in local])
-        for (key, res, d), binding in zip(local, bindings):
-            if binding is None:
-                d.action = _DROP
-                d.detail = "no-vm"
-                d.resolved_vni = res.vni
-            else:
-                d.action = _DELIVER
-                d.detail = "local"
-                d.resolved_vni = res.vni
-                d.nc_ip = binding.nc_ip
-                if res.vni != key[0]:
-                    d.rewrite_vni = res.vni
 
     # -- execute --------------------------------------------------------
 
@@ -382,10 +253,16 @@ class CompiledProgram:
         sizes = batch.sizes
         unique_keys, inverse, uniq_counts, uniq_bytes, per_vni = batch.key_index()
         memo = self.memo
-        fresh = [key for key in unique_keys if key not in memo]
-        if fresh:
-            self._resolve_keys(fresh)
-        decs = [memo[key] for key in unique_keys]
+        generations = self.generations
+        decs = memo.lookup_many(unique_keys, uniq_counts, generations)
+        missing = [u for u, d in enumerate(decs) if d is None]
+        if missing:
+            fresh = resolve_keys(tables, [unique_keys[u] for u in missing],
+                                 generations, self.split_vm_nc)
+            insert = memo.insert
+            for u, d in zip(missing, fresh):
+                decs[u] = d
+                insert(unique_keys[u], d)
 
         hw = self.hw
         nonvxlan = batch.nonvxlan_lanes
@@ -613,19 +490,23 @@ class BatchCompiler:
     redirect-path metering, folded-chip bookkeeping); leave it None for
     XGW-x86. *watch_snat* makes the program report admitted SNAT
     redirect lanes so the x86 wrapper can run the service layer on them.
+    *memo* is the gateway's decision memo, kept across recompiles (a
+    private default-capacity one when None).
     """
 
     def __init__(self, tables: GatewayTables, gateway_ip: int,
-                 split_vm_nc=None, watch_snat: bool = False):
+                 split_vm_nc=None, watch_snat: bool = False,
+                 memo: Optional[FlowCache] = None):
         self.tables = tables
         self.gateway_ip = gateway_ip
         self.split_vm_nc = split_vm_nc
         self.watch_snat = watch_snat
+        self.memo = memo if memo is not None else FlowCache()
 
     def generations(self) -> tuple:
-        """The live generation vector guarding compiled programs — the
-        same tables the flow cache guards, with the hw profile reading
-        both parity halves of the split VM-NC table."""
+        """The live generation vector guarding compiled programs and
+        memo entries, with the hw profile reading both parity halves of
+        the split VM-NC table."""
         tables = self.tables
         if self.split_vm_nc is None:
             return (tables.routing.generation, tables.vm_nc.generation,
@@ -635,7 +516,10 @@ class BatchCompiler:
                 halves[1].generation, tables.acl.generation)
 
     def compile(self) -> CompiledProgram:
-        """Lower the current table state into an executable program."""
+        """Lower the current table state into an executable program,
+        dropping the memo entries the new generation vector retires."""
+        generations = self.generations()
+        self.memo.drop_stale(generations)
         acl = self.tables.acl
         if len(acl) == 0 and acl.default_verdict is AclVerdict.PERMIT:
             # Provably pass-all; the ACL generation guard keeps it honest.
@@ -643,6 +527,6 @@ class BatchCompiler:
         else:
             classifier = CompiledAcl(acl.rules(),
                                      acl.default_verdict is AclVerdict.DENY)
-        return CompiledProgram(self.tables, self.gateway_ip,
-                               self.generations(), classifier,
-                               self.split_vm_nc, self.watch_snat)
+        return CompiledProgram(self.tables, self.gateway_ip, generations,
+                               classifier, self.memo, self.split_vm_nc,
+                               self.watch_snat)

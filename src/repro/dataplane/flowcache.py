@@ -1,15 +1,20 @@
-"""Flow-cache fast path: cache the terminal decision, not the walk.
+"""The decision memo: cache the terminal decision, not the walk.
 
 A production DPDK gateway survives at ~1 Mpps/core only because it does
 *not* run the full table program per packet: the first packet of a flow
 walks ACL + meters + VXLAN routing (with PEER chains) + VM-NC, and the
 terminal decision is cached so every later packet is one exact-match
-lookup plus the per-packet stateful work. This module gives the
-simulated XGW-x86 the same split.
+lookup plus the per-packet stateful work. This module gives every
+simulated gateway that split, with **one** memo per gateway: the
+LRU-bounded :class:`FlowCache` of :class:`KeyDecision` entries. The
+single-packet path (:func:`forward_cached`) and the columnar batch path
+(:mod:`repro.dataplane.columnar`) read and fill the same entries, and
+both resolve a missing key with the same decide routine,
+:func:`resolve_keys`.
 
 **What is cached** — the resolved terminal decision for a
 ``(VNI, inner dst IP, IP version)`` key: the forward action, resolved
-VNI, NC IP and the outer-header rewrite recipe. Negative decisions
+VNI, NC IP and the outer-header rewrite template. Negative decisions
 (``no-route``, ``peer-loop``, ``no-vm``) are cached too; they are just
 as deterministic given the table state.
 
@@ -19,9 +24,8 @@ per-flow dependent:
 * counters and meters charge every packet (a meter can flip a cached
   flow to ``meter-red`` at any time);
 * ACL verdicts depend on the full 5-tuple, not the cache key, so rules
-  are still evaluated per packet — *except* when the ACL table was empty
-  with a PERMIT default at capture time, which the entry records as
-  ``acl_bypass`` (and the ACL generation guard keeps honest);
+  are still evaluated per packet — unless the table is provably
+  pass-all (empty with a PERMIT default);
 * SNAT state (the XGW-x86 service layer re-runs on every redirect hit).
 
 **Generation-based invalidation** — every mutable table the decision
@@ -29,28 +33,28 @@ reads (:class:`~repro.tables.vxlan_routing.VxlanRoutingTable`,
 :class:`~repro.tables.vm_nc.VmNcTable`,
 :class:`~repro.tables.acl.AclTable`) carries a monotonically increasing
 ``generation`` bumped on every insert/remove. An entry captures the
-three-tuple *generation vector* at resolution time and is valid only
-while the live vector is identical. Any mutation — controller repairs,
-transactional migrations, offload steering — silently invalidates every
-older entry with no invalidation plumbing, and correctness survives
-arbitrary update interleavings (property-tested against a never-cached
-oracle).
+*generation vector* at resolution time and is valid only while the live
+vector is identical. Any mutation — controller repairs, transactional
+migrations, offload steering — silently invalidates every older entry
+with no invalidation plumbing, and correctness survives arbitrary update
+interleavings (property-tested against a never-cached oracle).
 """
 
 from __future__ import annotations
 
 from collections import OrderedDict
-from typing import Optional, Tuple
+from typing import List, Optional
 
 from ..net.headers import VXLAN
-from ..net.packet import Packet, _ip_len, _l4_len
+from ..net.packet import Packet
 from ..tables.acl import AclVerdict
+from ..tables.errors import MissingEntryError
 from ..tables.meter import MeterColor
+from ..tables.vxlan_routing import RoutingLoopError, Scope
 from .gateway_logic import (
     ForwardAction,
     ForwardResult,
     GatewayTables,
-    forward,
     inner_flow_key,
     vni_key,
 )
@@ -58,55 +62,145 @@ from .gateway_logic import (
 #: Default entry bound: roughly one DPDK box's flow-cache budget.
 DEFAULT_CAPACITY = 65536
 
-#: Slow-path details that depend on per-packet state and so must never
-#: produce a cache entry.
-_UNCACHEABLE_DETAILS = frozenset({"acl-deny", "meter-red"})
-
-#: Fixed wire bytes of a VXLAN packet outside the two IP headers, the
-#: inner L4 and the inner payload: outer Ethernet + outer UDP + VXLAN
-#: header + inner Ethernet. Used to inline
-#: :meth:`~repro.net.packet.Packet.wire_length` in the batch hit loop.
-_VXLAN_FIXED_LEN = 14 + 8 + 8 + 14
+_DROP = ForwardAction.DROP
+_DELIVER = ForwardAction.DELIVER_NC
+_REDIRECT = ForwardAction.REDIRECT_X86
+_UPLINK = ForwardAction.UPLINK
 
 
-class CacheEntry:
-    """One cached terminal decision (``__slots__``: allocated per miss,
-    compared per hit)."""
+class KeyDecision:
+    """The memoized terminal decision for one (VNI, dst, version) key.
+
+    The rewrite template is captured lazily on the first :meth:`build`,
+    and a prototype (packet, result) pair lets replayed bursts of
+    interned packets reuse the frozen result object instead of
+    re-allocating it.
+    """
 
     __slots__ = ("action", "detail", "resolved_vni", "nc_ip", "rewrite_vni",
-                 "generations", "acl_bypass", "outer_in", "outer_out",
-                 "vx_flags", "vx_out")
+                 "generations", "outer_in", "outer_out", "vx_flags", "vx_out",
+                 "proto_packet", "proto_result")
 
-    def __init__(self, action: ForwardAction, detail: str,
-                 resolved_vni: Optional[int], nc_ip: Optional[int],
-                 rewrite_vni: Optional[int],
-                 generations: Tuple[int, int, int], acl_bypass: bool,
-                 outer_in=None, outer_out=None, vx_flags=None, vx_out=None):
-        self.action = action
-        self.detail = detail
-        self.resolved_vni = resolved_vni
-        self.nc_ip = nc_ip
+    def __init__(self, generations: tuple):
+        self.action: Optional[ForwardAction] = None
+        self.detail = ""
+        self.resolved_vni: Optional[int] = None
+        self.nc_ip: Optional[int] = None
         #: VNI to write into the outgoing packet, or None when unchanged.
-        self.rewrite_vni = rewrite_vni
-        #: (routing, vm_nc, acl) generations captured at resolution time.
+        self.rewrite_vni: Optional[int] = None
+        #: The table generation vector captured at resolution time.
         self.generations = generations
-        #: True when the ACL table provably permits every flow (empty +
-        #: PERMIT default at capture; guarded by the ACL generation).
-        self.acl_bypass = acl_bypass
-        #: Rewrite template (DELIVER_NC only): the outer IP header seen at
-        #: capture and its rewritten form, plus the rewritten VXLAN header
-        #: guarded by the captured flags. A hit whose outer header equals
-        #: the template's input reuses the prebuilt immutable headers
-        #: instead of re-deriving them — the DPDK trick of storing the
-        #: rewrite *result*, not the rewrite *procedure*.
-        self.outer_in = outer_in
-        self.outer_out = outer_out
-        self.vx_flags = vx_flags
-        self.vx_out = vx_out
+        self.outer_in = None
+        self.outer_out = None
+        self.vx_flags: Optional[int] = None
+        self.vx_out = None
+        self.proto_packet: Optional[Packet] = None
+        self.proto_result: Optional[ForwardResult] = None
+
+    def build(self, packet: Packet, gateway_ip: int, hw: bool) -> ForwardResult:
+        """The ForwardResult for *packet* under this decision.
+
+        *hw* selects the XGW-H result shape (no ``resolved_vni``,
+        DELIVER detail fixed to ``"local"``) vs the XGW-x86 one.
+        """
+        action = self.action
+        if action is _DELIVER:
+            pip = packet.ip
+            outer_in = self.outer_in
+            if pip is outer_in or pip == outer_in:
+                new_ip = self.outer_out
+            else:
+                new_ip = pip.replace_src_dst(gateway_ip, self.nc_ip)
+                if outer_in is None:
+                    self.outer_in = pip
+                    self.outer_out = new_ip
+            vxlan = packet.vxlan
+            if self.rewrite_vni is not None:
+                flags = vxlan.flags
+                if flags == self.vx_flags:
+                    vxlan = self.vx_out
+                else:
+                    new_vx = VXLAN(vni=self.rewrite_vni, flags=flags)
+                    if self.vx_flags is None:
+                        self.vx_flags = flags
+                        self.vx_out = new_vx
+                    vxlan = new_vx
+            out = Packet(eth=packet.eth, ip=new_ip, l4=packet.l4,
+                         vxlan=vxlan, inner=packet.inner,
+                         payload=packet.payload)
+            if hw:
+                result = ForwardResult(action, out, detail="local",
+                                       nc_ip=self.nc_ip)
+            else:
+                result = ForwardResult(action, out, detail=self.detail,
+                                       resolved_vni=self.resolved_vni,
+                                       nc_ip=self.nc_ip)
+        elif hw:
+            result = ForwardResult(action, packet, detail=self.detail)
+        else:
+            result = ForwardResult(action, packet, detail=self.detail,
+                                   resolved_vni=self.resolved_vni,
+                                   nc_ip=self.nc_ip)
+        if self.proto_packet is None:
+            self.proto_packet = packet
+            self.proto_result = result
+        return result
+
+
+def resolve_keys(tables: GatewayTables, keys: List[tuple], generations: tuple,
+                 split_vm_nc=None) -> List[KeyDecision]:
+    """The decide routine: one fresh :class:`KeyDecision` per key, via
+    the bulk table helpers (routing resolution incl. PEER chains, then
+    the VM-NC lookup for LOCAL keys). *split_vm_nc* reads the XGW-H
+    parity halves instead of ``tables.vm_nc``."""
+    decisions: List[KeyDecision] = []
+    local: List[tuple] = []
+    for key, res in zip(keys, tables.routing.resolve_many(keys)):
+        d = KeyDecision(generations)
+        decisions.append(d)
+        if isinstance(res, MissingEntryError):
+            d.action = _DROP
+            d.detail = "no-route"
+            continue
+        if isinstance(res, RoutingLoopError):
+            d.action = _DROP
+            d.detail = "peer-loop"
+            continue
+        scope = res.action.scope
+        if scope is Scope.LOCAL:
+            local.append((key, res, d))
+        elif scope is Scope.SERVICE:
+            d.action = _REDIRECT
+            d.detail = res.action.target or "service"
+            d.resolved_vni = res.vni
+        else:
+            d.action = _UPLINK
+            d.detail = res.action.target or scope.value
+            d.resolved_vni = res.vni
+    if not local:
+        return decisions
+    if split_vm_nc is not None:
+        bindings = [split_vm_nc.lookup(res.vni, key[1], key[2])
+                    for key, res, _d in local]
+    else:
+        bindings = tables.vm_nc.lookup_many(
+            [(res.vni, key[1], key[2]) for key, res, _d in local])
+    for (key, res, d), binding in zip(local, bindings):
+        d.resolved_vni = res.vni
+        if binding is None:
+            d.action = _DROP
+            d.detail = "no-vm"
+        else:
+            d.action = _DELIVER
+            d.detail = "local"
+            d.nc_ip = binding.nc_ip
+            if res.vni != key[0]:
+                d.rewrite_vni = res.vni
+    return decisions
 
 
 class FlowCache:
-    """Exact-match, LRU-bounded cache of terminal forwarding decisions.
+    """Exact-match, LRU-bounded memo of terminal forwarding decisions.
 
     >>> cache = FlowCache(capacity=2)
     >>> cache.capacity
@@ -119,7 +213,7 @@ class FlowCache:
         if capacity <= 0:
             raise ValueError("capacity must be positive")
         self.capacity = capacity
-        self._entries: "OrderedDict[tuple, CacheEntry]" = OrderedDict()
+        self._entries: "OrderedDict[tuple, KeyDecision]" = OrderedDict()
         self.hits = 0
         self.misses = 0
         self.evictions = 0
@@ -130,7 +224,7 @@ class FlowCache:
 
     # -- core ---------------------------------------------------------------
 
-    def lookup(self, key: tuple, generations: Tuple[int, int, int]) -> Optional[CacheEntry]:
+    def lookup(self, key: tuple, generations: tuple) -> Optional[KeyDecision]:
         """The live entry for *key*, or None on miss/stale (stale entries
         are dropped so the following insert re-captures them)."""
         entry = self._entries.get(key)
@@ -146,13 +240,55 @@ class FlowCache:
         self.hits += 1
         return entry
 
-    def insert(self, key: tuple, entry: CacheEntry) -> None:
+    def lookup_many(self, keys: List[tuple], counts: List[int],
+                    generations: tuple) -> List[Optional[KeyDecision]]:
+        """:meth:`lookup` for a burst's unique keys, where ``counts[u]``
+        lanes carry ``keys[u]``. Hits and misses are counted per lane, as
+        the per-packet loop would count them: a live key hits on every
+        lane, a missing or stale one misses on its first lane (which
+        inserts it) and hits on the rest."""
+        entries = self._entries
+        get = entries.get
+        touch = entries.move_to_end
+        out: List[Optional[KeyDecision]] = []
+        append = out.append
+        hits = misses = stale = 0
+        for key, count in zip(keys, counts):
+            entry = get(key)
+            if entry is not None:
+                if entry.generations == generations:
+                    touch(key)
+                    hits += count
+                    append(entry)
+                    continue
+                stale += 1
+            misses += 1
+            hits += count - 1
+            append(None)
+        self.hits += hits
+        self.misses += misses
+        self.stale += stale
+        return out
+
+    def insert(self, key: tuple, entry: KeyDecision) -> None:
         entries = self._entries
         entries[key] = entry
         entries.move_to_end(key)
         if len(entries) > self.capacity:
             entries.popitem(last=False)
             self.evictions += 1
+
+    def drop_stale(self, generations: tuple) -> None:
+        """Drop every entry not captured under *generations*. Table
+        generations only grow, so such an entry can never be live again;
+        dropping it when the vector moves keeps dead decisions (and the
+        packets their prototypes hold) from piling up to capacity."""
+        entries = self._entries
+        dead = [key for key, entry in entries.items()
+                if entry.generations != generations]
+        for key in dead:
+            del entries[key]
+        self.stale += len(dead)
 
     def clear(self) -> None:
         self._entries.clear()
@@ -183,31 +319,6 @@ class FlowCache:
         }
 
 
-def _capture(result: ForwardResult, packet: Packet,
-             tables: GatewayTables,
-             generations: Tuple[int, int, int]) -> Optional[CacheEntry]:
-    """Build the cache entry for a slow-path result, or None when the
-    result depended on per-packet state (ACL/meter verdicts)."""
-    if result.detail in _UNCACHEABLE_DETAILS:
-        return None
-    rewrite_vni = None
-    outer_in = outer_out = vx_flags = vx_out = None
-    if result.action is ForwardAction.DELIVER_NC:
-        if result.resolved_vni != packet.vni:
-            rewrite_vni = result.resolved_vni
-        # The slow path just derived the rewritten headers — keep them as
-        # the entry's rewrite template.
-        outer_in = packet.ip
-        outer_out = result.packet.ip
-        vx_flags = packet.vxlan.flags
-        vx_out = result.packet.vxlan
-    acl = tables.acl
-    acl_bypass = len(acl) == 0 and acl.default_verdict is AclVerdict.PERMIT
-    return CacheEntry(result.action, result.detail, result.resolved_vni,
-                      result.nc_ip, rewrite_vni, generations, acl_bypass,
-                      outer_in, outer_out, vx_flags, vx_out)
-
-
 def forward_cached(
     tables: GatewayTables,
     cache: FlowCache,
@@ -215,159 +326,35 @@ def forward_cached(
     gateway_ip: int,
     now: float = 0.0,
 ) -> ForwardResult:
-    """The fast path: one cache lookup instead of the full table walk.
+    """The single-packet fast path: one memo lookup instead of the walk.
 
     Byte-identical to :func:`~repro.dataplane.gateway_logic.forward` for
-    every packet (differentially tested): counters and meters still
-    charge per packet, ACLs still evaluate per packet unless provably
-    pass-all, and a hit only replays the cached rewrite recipe.
+    every packet (differentially tested): counters, ACLs and meters run
+    per packet in the slow path's order, and only an admitted packet
+    whose key missed resolves it (and fills the memo).
     """
-    if not packet.is_vxlan:
-        return ForwardResult(ForwardAction.DROP, packet, detail="not-vxlan")
-    vni = packet.vni
+    vxlan = packet.vxlan
+    if vxlan is None:
+        return ForwardResult(_DROP, packet, detail="not-vxlan")
+    vni = vxlan.vni
     generations = (tables.routing.generation, tables.vm_nc.generation,
                    tables.acl.generation)
     key = (vni, packet.inner_dst, packet.inner_version)
-    entry = cache.lookup(key, generations)
-    if entry is None:
-        result = forward(tables, packet, gateway_ip, now)
-        captured = _capture(result, packet, tables, generations)
-        if captured is not None:
-            cache.insert(key, captured)
-        return result
+    decision = cache.lookup(key, generations)
 
     # Per-packet stateful work, in slow-path order: counter, ACL, meter.
     kvni = vni_key(vni)
     size = packet.wire_length()
     tables.counters.count(kvni, size)
-    if not entry.acl_bypass and (
-            tables.acl.evaluate(vni, inner_flow_key(packet)) is AclVerdict.DENY):
-        return ForwardResult(ForwardAction.DROP, packet, detail="acl-deny")
-    if tables.meters.charge(kvni, now, size) is MeterColor.RED:
-        return ForwardResult(ForwardAction.DROP, packet, detail="meter-red")
-
-    action = entry.action
-    if action is ForwardAction.DELIVER_NC:
-        out = packet.rewritten(gateway_ip, entry.nc_ip, vni=entry.rewrite_vni)
-        return ForwardResult(action, out, detail=entry.detail,
-                             resolved_vni=entry.resolved_vni, nc_ip=entry.nc_ip)
-    return ForwardResult(action, packet, detail=entry.detail,
-                         resolved_vni=entry.resolved_vni, nc_ip=entry.nc_ip)
-
-
-def forward_cached_batch(
-    tables: GatewayTables,
-    cache: FlowCache,
-    packets,
-    gateway_ip: int,
-    now: float = 0.0,
-) -> list:
-    """Batched fast path: ``[forward_cached(...) for p in packets]`` with
-    the per-packet dispatch amortised across the burst.
-
-    Safe amortisations (final table/counter state is identical to the
-    per-packet loop — differentially tested):
-
-    * the generation vector is read once — nothing inside the burst
-      mutates the control-plane tables, so it cannot change mid-batch;
-    * per-VNI counter charges accumulate locally and settle through
-      :meth:`~repro.tables.counter.CounterTable.count_batch`;
-    * when the meter table is empty, per-packet charges (each a dict
-      miss passing GREEN) collapse into one
-      :meth:`~repro.tables.meter.MeterTable.pass_unmetered` update —
-      with any meter configured, charges stay strictly per packet;
-    * cache hit/miss/stale tallies are folded in once at the end.
-    """
-    generations = (tables.routing.generation, tables.vm_nc.generation,
-                   tables.acl.generation)
-    entries = cache._entries
-    entries_get = entries.get
-    move_to_end = entries.move_to_end
     acl = tables.acl
-    acl_evaluate = acl.evaluate
-    meters = tables.meters
-    meter_per_packet = len(meters) > 0
-    meters_charge = meters.charge
-    deliver = ForwardAction.DELIVER_NC
-    drop = ForwardAction.DROP
-    red = MeterColor.RED
-    deny = AclVerdict.DENY
-    hits = misses = stale = unmetered_green = 0
-    counts: dict = {}  # vni -> [packets, bytes], flushed per batch
-    results = []
-    append = results.append
-    for packet in packets:
-        vxlan = packet.vxlan
-        if vxlan is None:
-            append(ForwardResult(drop, packet, detail="not-vxlan"))
-            continue
-        vni = vxlan.vni
-        inner = packet.inner
-        inner_ip = inner.ip
-        key = (vni, inner_ip.dst, inner_ip.version)
-        entry = entries_get(key)
-        if entry is None or entry.generations != generations:
-            if entry is not None:
-                del entries[key]
-                stale += 1
-            misses += 1
-            result = forward(tables, packet, gateway_ip, now)
-            captured = _capture(result, packet, tables, generations)
-            if captured is not None:
-                cache.insert(key, captured)
-            append(result)
-            continue
-        move_to_end(key)
-        hits += 1
-        # == packet.wire_length(), with the VXLAN-invariant parts folded.
-        size = (_VXLAN_FIXED_LEN + _ip_len(packet.ip) + _ip_len(inner_ip)
-                + _l4_len(inner.l4) + len(inner.payload))
-        acc = counts.get(vni)
-        if acc is None:
-            counts[vni] = [1, size]
-        else:
-            acc[0] += 1
-            acc[1] += size
-        if not entry.acl_bypass and (
-                acl_evaluate(vni, inner_flow_key(packet)) is deny):
-            append(ForwardResult(drop, packet, detail="acl-deny"))
-            continue
-        if meter_per_packet:
-            if meters_charge(vni_key(vni), now, size) is red:
-                append(ForwardResult(drop, packet, detail="meter-red"))
-                continue
-        else:
-            unmetered_green += 1
-        action = entry.action
-        if action is deliver:
-            # Rewrite via the entry's template: equal input headers yield
-            # equal (immutable, shareable) output headers.
-            pip = packet.ip
-            if pip is entry.outer_in or pip == entry.outer_in:
-                new_ip = entry.outer_out
-            else:
-                new_ip = pip.replace_src_dst(gateway_ip, entry.nc_ip)
-            if entry.rewrite_vni is None:
-                vx = vxlan
-            elif vxlan.flags == entry.vx_flags:
-                vx = entry.vx_out
-            else:
-                vx = VXLAN(vni=entry.rewrite_vni, flags=vxlan.flags)
-            out = Packet(eth=packet.eth, ip=new_ip, l4=packet.l4,
-                         vxlan=vx, inner=inner, payload=packet.payload)
-            append(ForwardResult(action, out, detail=entry.detail,
-                                 resolved_vni=entry.resolved_vni,
-                                 nc_ip=entry.nc_ip))
-        else:
-            append(ForwardResult(action, packet, detail=entry.detail,
-                                 resolved_vni=entry.resolved_vni,
-                                 nc_ip=entry.nc_ip))
-    cache.hits += hits
-    cache.misses += misses
-    cache.stale += stale
-    counters_batch = tables.counters.count_batch
-    for vni, (n, total) in counts.items():
-        counters_batch(vni_key(vni), n, total)
-    if unmetered_green:
-        meters.pass_unmetered(unmetered_green)
-    return results
+    if len(acl) == 0 and acl.default_verdict is AclVerdict.PERMIT:
+        acl.lookups += 1  # provably pass-all: skip the 5-tuple build
+    elif acl.evaluate(vni, inner_flow_key(packet)) is AclVerdict.DENY:
+        return ForwardResult(_DROP, packet, detail="acl-deny")
+    if tables.meters.charge(kvni, now, size) is MeterColor.RED:
+        return ForwardResult(_DROP, packet, detail="meter-red")
+
+    if decision is None:
+        (decision,) = resolve_keys(tables, [key], generations)
+        cache.insert(key, decision)
+    return decision.build(packet, gateway_ip, hw=False)

@@ -228,14 +228,17 @@ class FaultInjector:
     def poison_caches(self, clusters: Dict[str, GatewayCluster]) -> int:
         """Apply the plan's :data:`FaultKind.POISON_FLOW_CACHE` specs.
 
-        For each matching member carrying a non-empty flow cache, the
-        oldest resident DELIVER_NC entry is corrupted in place: its NC IP
-        is mis-pointed (same perturbation as :func:`corrupt_binding`) and
-        its prebuilt rewrite template is invalidated so hits really do
-        deliver to the wrong host. The entry's generation vector is left
-        untouched — the cache's own staleness guard stays green, which is
-        exactly the corruption class only an audit recompute can catch.
-        Returns how many entries were poisoned.
+        For each matching member carrying a non-empty decision memo
+        (``flow_cache``, which ``forward`` and ``forward_batch`` share),
+        the oldest resident DELIVER_NC entry is corrupted in place: its
+        NC IP is mis-pointed (same perturbation as
+        :func:`corrupt_binding`), and its rewrite template and prototype
+        result are dropped so every later hit — a replayed interned
+        packet included — really delivers to the wrong host. The entry's
+        generation vector is left untouched — the memo's own staleness
+        guard stays green, which is exactly the corruption class only an
+        audit recompute can catch. Returns how many entries were
+        poisoned.
         """
         poisoned = 0
         for index, spec in self.plan.cache_specs():
@@ -256,7 +259,9 @@ class FaultInjector:
                         continue
                     key, entry = target
                     entry.nc_ip ^= 0x2
-                    entry.outer_in = None  # hits now rebuild from the bad NC IP
+                    # Hits now rebuild from the bad NC IP.
+                    entry.outer_in = None
+                    entry.proto_packet = entry.proto_result = None
                     self.plan.mark_fired(index)
                     self.plan.record(InjectedFault(
                         spec.kind, cid, member.name,

@@ -7,9 +7,10 @@ keeps drawing fresh (seed, index) pairs until a wall-clock budget runs
 out — the ``python -m repro fuzz --soak`` workflow.
 
 Counterexamples (diverged/error outcomes) are minimized on the spot and
-written as JSON artifacts — to ``FUZZ_ARTIFACT_DIR`` when set (the CI
-job uploads that directory on failure), else to the explicit
-``artifact_dir``. The triage workflow is documented in DESIGN.md.
+written as JSON artifacts — to the explicit ``artifact_dir`` when given,
+else under ``$REPRO_ARTIFACT_DIR/fuzz/`` when that variable is set (the
+CI job uploads that directory on failure). The triage workflow is
+documented in DESIGN.md.
 
 >>> report = run_bounded(seeds=[3], cases_per_seed=2, flows=5)
 >>> report.cases, report.counterexamples
@@ -27,6 +28,7 @@ import time
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Tuple
 
+from ..telemetry import artifacts
 from .generator import ConfigGenerator, GatewayConfig, config_to_json
 from .harness import CaseOutcome, run_case
 from .minimizer import minimize
@@ -84,10 +86,6 @@ class CorpusReport:
         return "\n".join(lines)
 
 
-def _artifact_dir(explicit: Optional[str]) -> Optional[str]:
-    return explicit or os.environ.get("FUZZ_ARTIFACT_DIR") or None
-
-
 def _record(report: CorpusReport, config: GatewayConfig, outcome: CaseOutcome,
             flows: int, artifact_dir: Optional[str], do_minimize: bool) -> str:
     """Fold one case into the report; returns the outcome digest part."""
@@ -102,7 +100,7 @@ def _record(report: CorpusReport, config: GatewayConfig, outcome: CaseOutcome,
         if do_minimize:
             example.minimized = minimize(config, flows=flows).config
         report.counterexamples.append(example)
-        directory = _artifact_dir(artifact_dir)
+        directory = artifact_dir or artifacts.artifact_dir("fuzz")
         if directory:
             os.makedirs(directory, exist_ok=True)
             path = os.path.join(

@@ -210,25 +210,6 @@ class Packet:
             raise HeaderError("not a VXLAN packet")
         return replace(self, vxlan=VXLAN(vni=vni, flags=self.vxlan.flags))
 
-    def rewritten(self, outer_src: int, outer_dst: int,
-                  vni: Optional[int] = None) -> "Packet":
-        """Apply a cached rewrite recipe in one copy.
-
-        Equivalent to ``with_vni(vni).with_outer_src(outer_src)
-        .with_outer_dst(outer_dst)`` but allocates a single new Packet —
-        the flow-cache fast path applies one of these per hit (hence the
-        direct construction; ``dataclasses.replace`` costs several times
-        a plain ``__init__`` call).
-        """
-        ip = self.ip.replace_src_dst(outer_src, outer_dst)
-        vxlan = self.vxlan
-        if vni is not None:
-            if vxlan is None:
-                raise HeaderError("not a VXLAN packet")
-            vxlan = VXLAN(vni=vni, flags=vxlan.flags)
-        return Packet(eth=self.eth, ip=ip, l4=self.l4, vxlan=vxlan,
-                      inner=self.inner, payload=self.payload)
-
     def decap(self) -> "Packet":
         """Strip the VXLAN tunnel, returning the inner frame as a packet."""
         if self.inner is None:

@@ -11,16 +11,11 @@ Two faces:
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from ..dataplane.columnar import BatchCompiler, PacketBatch
-from ..dataplane.flowcache import (
-    DEFAULT_CAPACITY,
-    FlowCache,
-    forward_cached,
-    forward_cached_batch,
-)
+from ..dataplane.flowcache import DEFAULT_CAPACITY, FlowCache, forward_cached
 from ..dataplane.gateway_logic import (
     DropReason,
     ForwardAction,
@@ -127,19 +122,21 @@ class XgwX86:
         )
         self.counters = CounterSet()
         #: The fast path (§2.2): one resolved decision per (VNI, dst,
-        #: version), generation-guarded. ``cache_entries=0`` disables it
-        #: (every packet takes the full table walk — the pre-cache model).
+        #: version), generation-guarded — the one decision memo that
+        #: ``forward`` and the columnar ``forward_batch`` share.
+        #: ``cache_entries=0`` disables it for ``forward`` (every packet
+        #: takes the full table walk — the pre-cache model).
         self.flow_cache: Optional[FlowCache] = (
             FlowCache(cache_entries) if cache_entries > 0 else None
         )
         self._published_cache_counters: Dict[str, int] = {}
         #: The columnar batch path (DESIGN §13): ``forward_batch`` compiles
         #: the placed program once per table-generation vector and executes
-        #: it over struct-of-arrays bursts. ``columnar=False`` keeps the
-        #: flow-cache per-packet batch loop (the differential oracle's
-        #: shape, and the path cache-telemetry consumers rely on).
+        #: it over struct-of-arrays bursts. ``columnar=False`` makes
+        #: ``forward_batch`` a plain per-packet ``forward`` loop.
         self._batch_compiler: Optional[BatchCompiler] = (
-            BatchCompiler(self.tables, gateway_ip, watch_snat=snat is not None)
+            BatchCompiler(self.tables, gateway_ip, watch_snat=snat is not None,
+                          memo=self.flow_cache)
             if columnar else None
         )
         self._compiled = None
@@ -174,66 +171,20 @@ class XgwX86:
         return result
 
     def forward_batch(self, packets: Sequence[Packet], now: float = 0.0) -> List[ForwardResult]:
-        """Forward a burst, amortising per-packet dispatch.
+        """Forward a burst through the columnar compiled program.
 
-        Equivalent to ``[self.forward(p, now) for p in packets]``
-        (including every counter), but hot locals are bound once and the
-        per-action counters are tallied once per batch instead of one
-        f-string per packet.
+        Equivalent to ``[self.forward(p, now) for p in packets]``,
+        including every counter and the memo's hit/miss tallies for an
+        all-admitted burst. The program recompiles whenever the table
+        generation vector moves, then executes over the struct-of-arrays
+        burst and settles counters in one flush. Freeze windows (so every
+        packet consults the freeze set) and ``columnar=False`` gateways
+        take that per-packet loop instead.
         """
-        migration = self.migration
-        if migration is not None and migration.frozen:
-            # Freeze windows are rare and short: fall back to the
-            # per-packet path so every packet consults the freeze set.
-            return [self.forward(packet, now) for packet in packets]
-        if self._batch_compiler is not None:
-            return self._forward_batch_columnar(packets, now)
-        tables = self.tables
-        cache = self.flow_cache
-        gateway_ip = self.gateway_ip
-        snat_service = self.snat_service
-        actions: Dict[ForwardAction, int] = {}
-        drop_details: Dict[str, int] = {}
-        if cache is not None:
-            results = forward_cached_batch(tables, cache, packets, gateway_ip, now)
-            for index, result in enumerate(results):
-                if (
-                    result.action is ForwardAction.REDIRECT_X86
-                    and snat_service is not None
-                    and result.detail == "snat"
-                ):
-                    result = snat_service.handle_request(packets[index], now)
-                    results[index] = result
-                actions[result.action] = actions.get(result.action, 0) + 1
-                if result.action is ForwardAction.DROP:
-                    drop_details[result.detail] = drop_details.get(result.detail, 0) + 1
-        else:
-            slow = forward
-            results = []
-            append = results.append
-            for packet in packets:
-                result = slow(tables, packet, gateway_ip, now)
-                if (
-                    result.action is ForwardAction.REDIRECT_X86
-                    and snat_service is not None
-                    and result.detail == "snat"
-                ):
-                    result = snat_service.handle_request(packet, now)
-                actions[result.action] = actions.get(result.action, 0) + 1
-                if result.action is ForwardAction.DROP:
-                    drop_details[result.detail] = drop_details.get(result.detail, 0) + 1
-                append(result)
-        self.counters.add("rx_packets", len(results))
-        for action, count in actions.items():
-            self.counters.add(f"action_{action.value.replace('-', '_')}", count)
-        count_drops(self.counters, drop_details)
-        return results
-
-    def _forward_batch_columnar(self, packets, now: float) -> List[ForwardResult]:
-        """The compiled batch path: recompile on a generation-vector
-        change (same staleness rule as the flow cache), execute over the
-        struct-of-arrays burst, then settle counters in one flush."""
         compiler = self._batch_compiler
+        migration = self.migration
+        if compiler is None or (migration is not None and migration.frozen):
+            return [self.forward(packet, now) for packet in packets]
         program = self._compiled
         if program is None or program.generations != compiler.generations():
             program = self._compiled = compiler.compile()
@@ -311,7 +262,7 @@ class XgwX86:
     # The same push interface XgwH exposes, so an XGW-x86 box can be a
     # member of a controller-managed (hybrid) cluster: transactional
     # migrations and repairs mutate these tables, which bumps the table
-    # generations and invalidates the flow cache's affected entries.
+    # generations and invalidates the memo's affected entries.
 
     def install_route(self, vni: int, prefix: Prefix, action: RouteAction,
                       replace: bool = False) -> None:

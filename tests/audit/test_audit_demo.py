@@ -17,14 +17,14 @@ from repro.faults import FaultInjector, FaultKind, FaultPlan, FaultSpec
 from repro.net.addr import Prefix
 from repro.sim.engine import Engine
 from repro.tables.vxlan_routing import RouteAction, Scope
+from repro.telemetry.artifacts import artifact_dir
 
 
 def save_findings_log(name, scanner):
     """Drop the findings log where CI can upload it on failure."""
-    art_dir = os.environ.get("AUDIT_ARTIFACT_DIR")
-    if not art_dir:
+    art_dir = artifact_dir("audit")
+    if art_dir is None:
         return
-    os.makedirs(art_dir, exist_ok=True)
     with open(os.path.join(art_dir, f"{name}.findings"), "wb") as fh:
         fh.write(scanner.log.dump())
 

@@ -21,6 +21,7 @@ from repro.audit import (
     tcam_shadow_findings,
 )
 from repro.core.controller import build_probe_packet
+from repro.dataplane.gateway_logic import ForwardAction
 from repro.faults import FaultInjector, FaultKind, FaultPlan, FaultSpec
 from repro.net.addr import Prefix
 from repro.net.flow import FlowKey
@@ -238,6 +239,27 @@ class TestFlowCacheCoherence:
         plan = FaultPlan(seed=9, specs=[
             FaultSpec(FaultKind.POISON_FLOW_CACHE, max_fires=1)])
         assert FaultInjector(plan).poison_caches(ctrl.clusters) == 1
+        ctx = AuditContext(intent=IntentSnapshot.from_controller(ctrl),
+                           cluster_id=cluster_id, seed=3)
+        findings = FlowCacheCoherence().check(ctx, member)
+        assert [f.kind for f in findings] == ["stale-cache-entry"]
+
+    def test_poisoned_entry_reaches_replayed_batch_lanes(self):
+        # forward_batch reads the same memo: a replayed interned packet
+        # must not get back the result cached before the poison.
+        ctrl = make_controller(hybrid=True)
+        cluster_id, _routes, _vms = onboard_region(ctrl)
+        member = ctrl.clusters[cluster_id].find_member(f"{cluster_id}-x86")
+        probe = build_probe_packet(100, ip("192.168.10.2"))
+        (clean,) = member.gateway.forward_batch([probe])
+        assert clean.action is ForwardAction.DELIVER_NC
+        plan = FaultPlan(seed=9, specs=[
+            FaultSpec(FaultKind.POISON_FLOW_CACHE, max_fires=1)])
+        assert FaultInjector(plan).poison_caches(ctrl.clusters) == 1
+        (poisoned,) = member.gateway.forward_batch([probe])
+        assert poisoned.action is ForwardAction.DELIVER_NC
+        assert poisoned.nc_ip == clean.nc_ip ^ 0x2
+        assert poisoned.packet.ip.dst == clean.nc_ip ^ 0x2
         ctx = AuditContext(intent=IntentSnapshot.from_controller(ctrl),
                            cluster_id=cluster_id, seed=3)
         findings = FlowCacheCoherence().check(ctx, member)

@@ -4,7 +4,7 @@ import ipaddress
 
 import pytest
 
-from repro.dataplane.flowcache import CacheEntry, FlowCache, forward_cached
+from repro.dataplane.flowcache import FlowCache, KeyDecision, forward_cached
 from repro.dataplane.gateway_logic import (
     ForwardAction,
     GatewayTables,
@@ -185,11 +185,17 @@ class TestAclOnHitPath:
         pkt = packet()
         forward_cached(tables, cache, pkt, GATEWAY_IP)
         (entry,) = cache._entries.values()
-        assert entry.acl_bypass  # empty table, PERMIT default
+        # Empty table, PERMIT default: the rule scan is skipped, but the
+        # lookup still charges and the entry is guarded by the ACL
+        # generation.
+        assert (tables.acl.lookups, tables.acl.matched) == (1, 0)
+        assert entry.generations[2] == tables.acl.generation
         tables.acl.insert(AclRule(priority=9, verdict=AclVerdict.PERMIT))
         forward_cached(tables, cache, pkt, GATEWAY_IP)  # stale re-capture
         (entry,) = cache._entries.values()
-        assert not entry.acl_bypass
+        assert cache.stale == 1
+        assert entry.generations[2] == tables.acl.generation
+        assert (tables.acl.lookups, tables.acl.matched) == (2, 1)
 
 
 class TestLruBounds:
@@ -227,8 +233,7 @@ class TestLruBounds:
         assert cache.hit_rate == 0.5
 
     def test_entries_are_slotted(self):
-        entry = CacheEntry(ForwardAction.DROP, "no-route", None, None, None,
-                           (0, 0, 0), True)
+        entry = KeyDecision((0, 0, 0))
         with pytest.raises(AttributeError):
             entry.extra = 1
 

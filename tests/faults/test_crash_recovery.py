@@ -14,6 +14,7 @@ from repro.core.journal import ControllerCrash, Journal
 from repro.core.splitting import ClusterCapacity, TableSplitter
 from repro.cluster.ecmp import VniSteeredBalancer
 from repro.faults import FaultInjector, FaultKind, FaultPlan, FaultSpec
+from repro.telemetry.artifacts import artifact_dir
 
 
 def journaled_controller(*specs, seed=11):
@@ -38,10 +39,9 @@ def recover_into_new_controller(crashed):
 
 def save_artifacts(name, journal):
     """Drop the journal + replayed state where CI can upload them."""
-    art_dir = os.environ.get("JOURNAL_ARTIFACT_DIR")
-    if not art_dir:
+    art_dir = artifact_dir("crash-recovery")
+    if art_dir is None:
         return
-    os.makedirs(art_dir, exist_ok=True)
     with open(os.path.join(art_dir, f"{name}.journal"), "wb") as fh:
         fh.write(journal.dump())
     with open(os.path.join(art_dir, f"{name}.state.json"), "w") as fh:

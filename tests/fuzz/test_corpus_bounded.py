@@ -2,7 +2,7 @@
 per seed, every config landing in a healthy trichotomy arm.
 
 This file is the acceptance gate ISSUE 6 / EXPERIMENTS.md point at; the
-CI fuzz job runs it with FUZZ_ARTIFACT_DIR set so any counterexample is
+CI fuzz job runs it with REPRO_ARTIFACT_DIR set so any counterexample is
 uploaded as a minimized JSON artifact.
 """
 
@@ -75,7 +75,7 @@ class TestArtifacts:
         assert data["config"]["seed"] == 1
 
     def test_artifact_dir_from_environment(self, tmp_path, monkeypatch):
-        monkeypatch.setenv("FUZZ_ARTIFACT_DIR", str(tmp_path))
+        monkeypatch.setenv("REPRO_ARTIFACT_DIR", str(tmp_path))
 
         def fake_run_case(config, flows=50):
             return CaseOutcome(status="error", reason="synthetic")
@@ -83,5 +83,5 @@ class TestArtifacts:
         monkeypatch.setattr(corpus_module, "run_case", fake_run_case)
         report = run_bounded(seeds=[2], cases_per_seed=1, flows=5,
                              minimize_failures=False)
-        assert (tmp_path / "fuzz-ce-2-0.json").exists()
+        assert (tmp_path / "fuzz" / "fuzz-ce-2-0.json").exists()
         assert report.artifacts

@@ -17,6 +17,7 @@ from repro.core.journal import ControllerCrash
 from repro.faults import FaultInjector, FaultKind, FaultPlan, FaultSpec
 from repro.shard import ShardedAuditDriver, ShardedController
 from repro.tables.vm_nc import NcBinding
+from repro.telemetry.artifacts import artifact_dir
 
 A, B = SHARD_VNIS[0], SHARD_VNIS[2]  # endpoints on shards s00 and s02
 
@@ -61,10 +62,9 @@ def chain_keys_present(sharded):
 
 def save_artifacts(name, sharded):
     """Drop every shard's journal + replayed state where CI can upload."""
-    art_dir = os.environ.get("SHARD_ARTIFACT_DIR")
-    if not art_dir:
+    art_dir = artifact_dir("shard")
+    if art_dir is None:
         return
-    os.makedirs(art_dir, exist_ok=True)
     for sid in sorted(sharded.shards):
         journal = sharded.shards[sid].journal
         with open(os.path.join(art_dir, f"{name}-{sid}.journal"), "wb") as fh:

@@ -5,6 +5,7 @@ import ipaddress
 
 import pytest
 
+from repro.core.xgw_h import XgwH
 from repro.dataplane.gateway_logic import ForwardAction, GatewayTables
 from repro.net.addr import Prefix
 from repro.tables.vm_nc import NcBinding
@@ -61,11 +62,10 @@ class TestForwardBatch:
 
 
 class TestCacheTelemetry:
-    # The columnar path bypasses the flow cache entirely, so these
-    # gateways pin the flow-cache batch loop with columnar=False.
+    # The columnar path reads and fills the gateway's one decision memo
+    # and counts its hits and misses per lane, like the per-packet loop.
     def test_counters_flow_into_counterset(self):
-        gw = XgwX86(gateway_ip=0x0A0000FD, tables=make_tables(hosts=4),
-                    columnar=False)
+        gw = XgwX86(gateway_ip=0x0A0000FD, tables=make_tables(hosts=4))
         gw.forward_batch(burst(12, hosts=4))
         snap = gw.publish_cache_counters()
         assert snap["flowcache_misses"] == 4
@@ -74,8 +74,7 @@ class TestCacheTelemetry:
         assert gw.counters["flowcache_misses"] == 4
 
     def test_publish_is_idempotent_on_deltas(self):
-        gw = XgwX86(gateway_ip=0x0A0000FD, tables=make_tables(hosts=4),
-                    columnar=False)
+        gw = XgwX86(gateway_ip=0x0A0000FD, tables=make_tables(hosts=4))
         gw.forward_batch(burst(12, hosts=4))
         gw.publish_cache_counters()
         gw.publish_cache_counters()  # no new traffic: no double counting
@@ -89,12 +88,65 @@ class TestCacheTelemetry:
         assert gw.publish_cache_counters() == {}
 
 
+class TestMemoBound:
+    """The one decision memo stays LRU-bounded on the batch path, and
+    the columnar path counts it exactly like the per-packet loop."""
+
+    @staticmethod
+    def unique_bursts(bursts=5, size=40):
+        # Every lane a distinct (VNI, dst) key: each one a no-route miss.
+        return [[build_vxlan_packet(vni=VNI, src_ip=ip("192.168.10.100"),
+                                    dst_ip=ip("10.0.0.0") + b * size + i)
+                 for i in range(size)] for b in range(bursts)]
+
+    def test_x86_memo_is_bounded_by_cache_entries(self):
+        gw = XgwX86(gateway_ip=0x0A0000FD, tables=make_tables(), cache_entries=16)
+        for packets in self.unique_bursts():
+            gw.forward_batch(packets)
+            assert len(gw.flow_cache) <= 16
+        assert gw.flow_cache.misses == 200
+        assert gw.flow_cache.evictions == 200 - 16
+
+    def test_xgw_h_memo_is_bounded(self):
+        gw = XgwH(gateway_ip=0x0A0000FE, tables=make_tables())
+        memo = gw._batch_compiler.memo
+        assert not hasattr(gw, "flow_cache")
+        memo.capacity = 16
+        for packets in self.unique_bursts():
+            gw.forward_batch(packets)
+            assert len(memo) <= 16
+        assert memo.evictions == 200 - 16
+
+    def test_recompile_drops_retired_entries(self):
+        gw = XgwX86(gateway_ip=0x0A0000FD, tables=make_tables())
+        gw.forward_batch(self.unique_bursts(bursts=1)[0])
+        assert len(gw.flow_cache) == 40
+        gw.install_route(VNI + 1, Prefix.parse("10.0.0.0/8"),
+                         RouteAction(Scope.LOCAL))
+        gw.forward_batch(burst(1))
+        assert len(gw.flow_cache) == 1
+        assert gw.flow_cache.stale == 40
+
+    def test_all_admitted_burst_counts_like_the_forward_loop(self):
+        packets = burst(24, hosts=5) + burst(8, hosts=3)
+        batch_gw = XgwX86(gateway_ip=0x0A0000FD, tables=make_tables())
+        loop_gw = XgwX86(gateway_ip=0x0A0000FD, tables=make_tables(),
+                         columnar=False)
+        for _ in range(2):
+            batch_gw.forward_batch(packets)
+            loop_gw.forward_batch(packets)
+            assert (batch_gw.publish_cache_counters()
+                    == loop_gw.publish_cache_counters())
+        assert batch_gw.flow_cache.misses == 5
+        assert batch_gw.counters.snapshot() == loop_gw.counters.snapshot()
+
+
 class TestBatchCounterConservation:
     """Regression for batch-path counter attribution: a mixed
     accept/drop burst must keep the CounterConservation identities
-    (``rx_packets == Σ action_*``, ``Σ drop_* == action_drop``) on every
-    batch path — columnar, flow-cache and uncached — with drop reasons
-    now aggregated into one per-reason flush."""
+    (``rx_packets == Σ action_*``, ``Σ drop_* == action_drop``) on both
+    batch paths — columnar (one per-reason drop flush) and the per-packet
+    ``forward`` loop, over the memo or the uncached walk."""
 
     @staticmethod
     def mixed_burst():
@@ -117,8 +169,8 @@ class TestBatchCounterConservation:
 
     @pytest.mark.parametrize("kwargs", [
         {},                                       # columnar path
-        {"columnar": False},                      # flow-cache batch path
-        {"columnar": False, "cache_entries": 0},  # uncached batch path
+        {"columnar": False},                      # forward loop, memo
+        {"columnar": False, "cache_entries": 0},  # forward loop, uncached
     ])
     def test_mixed_burst_conserves_counters(self, kwargs):
         gw = XgwX86(gateway_ip=0x0A0000FD, tables=make_tables(hosts=4), **kwargs)
