@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from enum import Enum
-from typing import Dict, Generic, List, Optional, Protocol, TypeVar
+from typing import Callable, Dict, Generic, List, Optional, Protocol, TypeVar
 
 from ..net.flow import FlowKey, toeplitz_hash
 from ..net.packet import Packet
@@ -132,13 +132,17 @@ class GatewayCluster(Generic[G]):
 
     # -- data path --------------------------------------------------------------
 
-    def pick_member(self, flow: FlowKey) -> Member[G]:
-        """Flow-hash over active members (ECMP within the cluster)."""
+    def member_picker(self) -> Callable[[int], Member[G]]:
+        """ECMP over the members active now: maps a flow hash to the
+        member that serves it. Raises when no member is active."""
         active = self.active_members()
         if not active:
             raise ClusterError(f"cluster {self.cluster_id} has no active nodes")
-        index = toeplitz_hash(flow.to_rss_input()) % len(active)
-        return active[index]
+        return lambda flow_hash: active[flow_hash % len(active)]
+
+    def pick_member(self, flow: FlowKey) -> Member[G]:
+        """Flow-hash over active members (ECMP within the cluster)."""
+        return self.member_picker()(toeplitz_hash(flow.to_rss_input()))
 
     def forward(self, flow: FlowKey, packet: Packet):
         """Steer one packet to a member and forward it."""

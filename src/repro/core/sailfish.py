@@ -16,7 +16,8 @@ RSS/core model.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Tuple
+from itertools import groupby
+from typing import Dict, List, Optional, Sequence, Tuple
 
 from ..cluster.cluster import GatewayCluster
 from ..cluster.ecmp import VniSteeredBalancer
@@ -27,8 +28,9 @@ from ..dataplane.gateway_logic import (
     ForwardAction,
     ForwardResult,
     GatewayTables,
+    count_drop,
 )
-from ..net.flow import FlowKey, toeplitz_hash
+from ..net.flow import FlowKey, rss_input, toeplitz_hash
 from ..net.packet import Packet
 from ..sim.rand import derive
 from ..tables.snat import SnatTable
@@ -223,23 +225,26 @@ class Sailfish:
 
     # -- data path ---------------------------------------------------------------
 
-    def _pick_x86(self, flow: FlowKey) -> XgwX86:
-        index = toeplitz_hash(flow.to_rss_input()) % len(self.x86_fleet)
-        return self.x86_fleet[index]
+    def _pick_x86(self, flow_hash: int) -> XgwX86:
+        """The x86 box serving a redirected flow, by its flow hash."""
+        return self.x86_fleet[flow_hash % len(self.x86_fleet)]
 
     def forward(self, packet: Packet, now: float = 0.0) -> ForwardResult:
-        """One packet through LB -> XGW-H cluster (-> XGW-x86 if needed)."""
+        """One packet through LB -> XGW-H cluster (-> XGW-x86 if needed).
+
+        The per-packet oracle of :meth:`forward_batch`: every fabric
+        traversal runs through the Tofino simulator.
+        """
         self.counters.add("packets")
         if not packet.is_vxlan:
             # Internet-side return traffic is routed by its destination
             # public IP to the box that owns that SNAT slice.
-            self.counters.add("software_packets")
             owner = self._public_ip_owner.get(packet.ip.dst)
             if owner is None:
-                flow = FlowKey(packet.ip.src, packet.ip.dst, packet.ip.proto,
-                               getattr(packet.l4, "src_port", 0),
-                               getattr(packet.l4, "dst_port", 0))
-                owner = self._pick_x86(flow)
+                count_drop(self.counters, DropReason.NO_OWNER.value)
+                return ForwardResult(ForwardAction.DROP, packet,
+                                     detail=DropReason.NO_OWNER.value)
+            self.counters.add("software_packets")
             return owner.forward_response(packet, now)
         vni = packet.vni
         cluster_id = self.balancer.cluster_for_vni(vni)
@@ -254,8 +259,128 @@ class Sailfish:
         self.counters.add("hardware_packets")
         if result.action is ForwardAction.REDIRECT_X86:
             self.counters.add("software_packets")
-            result = self._pick_x86(flow).forward(packet, now)
+            result = self._pick_x86(toeplitz_hash(flow.to_rss_input())).forward(packet, now)
         return result
+
+    def forward_batch(self, packets: Sequence[Packet], now: float = 0.0) -> List[ForwardResult]:
+        """A burst through the region: the columnar data path.
+
+        Results and every side effect — region, cluster, member and x86
+        counters, chip and pipe tallies, meters, SNAT sessions — equal
+        ``[self.forward(p, now) for p in packets]`` (differentially
+        tested). The serving cluster is looked up once per VNI and its
+        active members once per cluster; each flow is hashed once, and
+        that hash picks both the ECMP member and the x86 box of a
+        redirected lane. Each member forwards its lanes in one
+        :meth:`XgwH.forward_batch`; each x86 box then serves its
+        redirected lanes and its Internet responses in lane order (SNAT
+        state depends on it), requests in runs through
+        :meth:`XgwX86.forward_batch`. A cluster with no active member
+        raises :class:`ClusterError` before anything is forwarded.
+        """
+        n = len(packets)
+        if not n:
+            return []
+        results: List[Optional[ForwardResult]] = [None] * n
+        hashes = [0] * n
+        # Stage: group lanes by owner — members for tenant traffic, x86
+        # boxes for Internet responses.
+        members: Dict[int, tuple] = {}
+        response_box: Dict[int, XgwX86] = {}
+        clusters: Dict[int, Optional[tuple]] = {}
+        flow_hash: Dict[tuple, int] = {}
+        owner_of = self._public_ip_owner.get
+        no_owner = unassigned = 0
+        for lane, packet in enumerate(packets):
+            vxlan = packet.vxlan
+            if vxlan is None:
+                owner = owner_of(packet.ip.dst)
+                if owner is None:
+                    no_owner += 1
+                    results[lane] = ForwardResult(ForwardAction.DROP, packet,
+                                                  detail=DropReason.NO_OWNER.value)
+                else:
+                    response_box[lane] = owner
+                continue
+            vni = vxlan.vni
+            serving = clusters.get(vni, False)
+            if serving is False:
+                serving = clusters[vni] = self._serving_members(vni)
+            if serving is None:
+                unassigned += 1
+                results[lane] = ForwardResult(ForwardAction.DROP, packet,
+                                              detail=DropReason.UNASSIGNED_VNI.value)
+                continue
+            cluster, pick = serving
+            iip = packet.inner.ip
+            l4 = packet.inner.l4
+            flow = (iip.src, iip.dst,
+                    l4.src_port if l4 is not None else 0,
+                    l4.dst_port if l4 is not None else 0, iip.version)
+            h = flow_hash.get(flow)
+            if h is None:
+                h = flow_hash[flow] = toeplitz_hash(rss_input(*flow))
+            hashes[lane] = h
+            member = pick(h)
+            group = members.get(id(member))
+            if group is None:
+                group = members[id(member)] = (cluster, member.gateway, [], [])
+            group[2].append(lane)
+            group[3].append(packet)
+
+        counters = self.counters
+        counters.add("packets", n)
+        if no_owner:
+            counters.add(DropReason.NO_OWNER.counter, no_owner)
+        if unassigned:
+            counters.add(DropReason.UNASSIGNED_VNI.counter, unassigned)
+        hardware = n - no_owner - unassigned - len(response_box)
+        if hardware:
+            counters.add("hardware_packets", hardware)
+
+        # Stage: one XGW-H burst per member.
+        redirected: List[int] = []
+        for cluster, gateway, lanes, burst in members.values():
+            cluster.packets += len(lanes)
+            for lane, result in zip(lanes, gateway.forward_batch(burst)):
+                results[lane] = result
+                if result.action is ForwardAction.REDIRECT_X86:
+                    redirected.append(lane)
+        software = len(redirected) + len(response_box)
+        if not software:
+            return results
+        counters.add("software_packets", software)
+
+        # Stage: each x86 box serves its lanes in lane order.
+        boxes: Dict[int, tuple] = {}
+        for lane in sorted([*redirected, *response_box]):
+            box = response_box.get(lane)
+            if box is None:
+                box = self._pick_x86(hashes[lane])
+            work = boxes.get(id(box))
+            if work is None:
+                work = boxes[id(box)] = (box, [])
+            work[1].append(lane)
+        for box, lanes in boxes.values():
+            for is_response, run in groupby(lanes, response_box.__contains__):
+                if is_response:
+                    for lane in run:
+                        results[lane] = box.forward_response(packets[lane], now)
+                    continue
+                run = list(run)
+                burst = [packets[lane] for lane in run]
+                for lane, result in zip(run, box.forward_batch(burst, now)):
+                    results[lane] = result
+        return results
+
+    def _serving_members(self, vni: int) -> Optional[tuple]:
+        """``(cluster, member picker)`` serving *vni*, None when the VNI
+        is unassigned."""
+        cluster_id = self.balancer.cluster_for_vni(vni)
+        if cluster_id is None:
+            return None
+        cluster = self.recovery.serving_cluster(cluster_id)
+        return cluster, cluster.member_picker()
 
     def trace(self, packet: Packet, now: float = 0.0):
         """VTrace-style diagnostic forwarding: returns (result, PathTrace).
@@ -300,7 +425,7 @@ class Sailfish:
         for pipeline, gress in traversal.path:
             trace.add("pipe", f"{member.name}/pipeline{pipeline}", gress.value)
         if result.action is ForwardAction.REDIRECT_X86:
-            box = self._pick_x86(flow)
+            box = self._pick_x86(toeplitz_hash(flow.to_rss_input()))
             trace.add("x86", f"{box.gateway_ip:#010x}", result.detail)
             result = box.forward(packet, now)
         trace.outcome = "drop" if result.action is ForwardAction.DROP else result.action.value
@@ -309,14 +434,15 @@ class Sailfish:
 
     def forward_sample(self, packets: int, generator: Optional[RegionTrafficGenerator] = None,
                        seed=None) -> ForwardingReport:
-        """Generate and forward *packets*, aggregating outcomes."""
+        """Generate *packets* and forward them as one burst through
+        :meth:`forward_batch`, aggregating outcomes."""
         generator = generator or RegionTrafficGenerator(self.topology, seed or self.seed)
         report = ForwardingReport()
         hw_before = self.counters["hardware_packets"]
         sw_before = self.counters["software_packets"]
-        for sample in generator.packets(packets):
+        burst = [sample.packet for sample in generator.packets(packets)]
+        for result in self.forward_batch(burst):
             report.packets += 1
-            result = self.forward(sample.packet)
             if result.action is ForwardAction.DROP:
                 report.dropped += 1
                 report.drop_details[result.detail] = (

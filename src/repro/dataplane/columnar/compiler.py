@@ -52,6 +52,7 @@ from typing import Dict, List, Optional, Tuple
 
 from ...tables.acl import AclVerdict
 from ...tables.meter import MeterColor
+from ...tofino.pipeline import Gress
 from ..flowcache import FlowCache, resolve_keys
 from ..gateway_logic import ForwardAction, ForwardResult, GatewayTables, vni_key
 from .batch import PacketBatch
@@ -84,6 +85,16 @@ _FATE_DETAILS = {
 #: to bytes exactly as :attr:`repro.tofino.phv.Bridge.wire_overhead_bytes`.
 _BRIDGE1_BYTES = (24 + 3 + 7) // 8
 _BRIDGE23_BYTES = (24 + 3 + 32 + 7) // 8
+
+#: The folded path's pipes as ``(slot, PipeRef)`` in traversal order
+#: from each entry pipeline (0 for even inner destinations, 2 for odd);
+#: slot is ``2 * pipeline`` for ingress, ``+ 1`` for egress.
+_PIPE_SLOTS = tuple(
+    (2 * pipeline + (gress is Gress.EGRESS), (pipeline, gress))
+    for entry in (0, 2)
+    for pipeline, gress in ((entry, Gress.INGRESS), (entry + 1, Gress.EGRESS),
+                            (entry + 1, Gress.INGRESS), (entry, Gress.EGRESS))
+)
 
 
 class CompiledAcl:
@@ -433,33 +444,26 @@ class CompiledProgram:
         """Aggregate the folded-chip bookkeeping (per-pipe packet counts,
         bridge bytes, the egress Table D counters) for the hw profile —
         identical totals to per-packet fabric traversals."""
-        from ...tofino.pipeline import Gress
-
-        ingress = Gress.INGRESS
-        egress = Gress.EGRESS
-        pipe: Dict[tuple, int] = {}
+        # Eight integer slots, 2 * pipeline + (0 ingress, 1 egress);
+        # the PipeRef dict is built once at the end.
+        slots = [0] * 8
         bridged = 0
         egress_charges: Dict[tuple, list] = {}
         for u, d in enumerate(decs):
             key = unique_keys[u]
-            entry = 0 if key[1] % 2 == 0 else 2
-            total = uniq_counts[u]
-            ref = (entry, ingress)
-            pipe[ref] = pipe.get(ref, 0) + total
-            admitted = (total - denied_by_uniq.get(u, 0)
+            entry = 0 if key[1] % 2 == 0 else 4
+            slots[entry] += uniq_counts[u]
+            admitted = (uniq_counts[u] - denied_by_uniq.get(u, 0)
                         - red_by_uniq.get(u, 0) - limited_by_uniq.get(u, 0))
             if not admitted:
                 continue
             action = d.action
             if action is _DELIVER or (action is _DROP and d.detail == "no-vm"):
-                ref = (entry + 1, egress)
-                pipe[ref] = pipe.get(ref, 0) + admitted
+                slots[entry + 3] += admitted
                 bridged += admitted * _BRIDGE1_BYTES
                 if action is _DELIVER:
-                    ref = (entry + 1, ingress)
-                    pipe[ref] = pipe.get(ref, 0) + admitted
-                    ref = (entry, egress)
-                    pipe[ref] = pipe.get(ref, 0) + admitted
+                    slots[entry + 2] += admitted
+                    slots[entry + 1] += admitted
                     bridged += admitted * 2 * _BRIDGE23_BYTES
                     # Table D (egress counters): delivered packets only,
                     # keyed by the packet's original VNI; the rewrite
@@ -473,13 +477,12 @@ class CompiledProgram:
                     else:
                         acc[0] += admitted
                         acc[1] += admitted_bytes
-        if nonvxlan_count:
-            ref = (0, ingress)
-            pipe[ref] = pipe.get(ref, 0) + nonvxlan_count
+        slots[0] += nonvxlan_count
         if egress_charges:
             self.tables.counters.count_batch_many(
                 {k: (acc[0], acc[1]) for k, acc in egress_charges.items()})
-        tally.pipe_packets = pipe
+        tally.pipe_packets = {ref: slots[slot] for slot, ref in _PIPE_SLOTS
+                              if slots[slot]}
         tally.bridged_bytes = bridged
 
 

@@ -2,7 +2,7 @@
 
 from .addr import IPAddress, Prefix, format_ip, mask_for, network_of, parse_ip
 from .checksum import internet_checksum, verify_checksum
-from .flow import FlowKey, rss_queue, symmetric_flow_hash, toeplitz_hash
+from .flow import FlowKey, rss_input, rss_queue, symmetric_flow_hash, toeplitz_hash
 from .headers import (
     ETHERTYPE_IPV4,
     ETHERTYPE_IPV6,
@@ -33,6 +33,7 @@ __all__ = [
     "FlowKey",
     "toeplitz_hash",
     "rss_queue",
+    "rss_input",
     "symmetric_flow_hash",
     "Ethernet",
     "IPv4",

@@ -10,6 +10,7 @@ matches what DPDK hardware actually does.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Tuple
 
 # The de-facto standard 40-byte RSS key from the Microsoft RSS verification
@@ -44,36 +45,54 @@ class FlowKey:
 
     def to_rss_input(self) -> bytes:
         """The byte string hashed by RSS for this flow (addresses + ports)."""
-        width = 4 if self.version == 4 else 16
-        return (
-            self.src_ip.to_bytes(width, "big")
-            + self.dst_ip.to_bytes(width, "big")
-            + self.src_port.to_bytes(2, "big")
-            + self.dst_port.to_bytes(2, "big")
-        )
+        return rss_input(self.src_ip, self.dst_ip, self.src_port, self.dst_port,
+                         self.version)
+
+
+def rss_input(src_ip: int, dst_ip: int, src_port: int, dst_port: int,
+              version: int = 4) -> bytes:
+    """The RSS input of a flow given as fields: addresses, then ports."""
+    bits = 32 if version == 4 else 128
+    return ((((src_ip << bits) | dst_ip) << 32) | (src_port << 16) | dst_port).to_bytes(
+        bits // 4 + 4, "big")
+
+
+@lru_cache(maxsize=16)
+def _toeplitz_tables(key: bytes) -> Tuple[Tuple[int, ...], ...]:
+    """Per-input-byte XOR tables for *key*: ``tables[i][b]`` is the hash
+    contribution of byte value *b* at input position *i* (Toeplitz is
+    XOR-linear in the input bits, so a byte's eight windows fold into
+    one entry)."""
+    key_bits = int.from_bytes(key, "big")
+    total_key_bits = len(key) * 8
+    rows = []
+    for position in range(len(key) - 4):
+        # window[bit] is the 32-bit key slice that input bit
+        # (8*position + bit) selects, MSB first.
+        window = [
+            (key_bits >> (total_key_bits - 32 - (8 * position + bit))) & 0xFFFFFFFF
+            for bit in range(8)
+        ]
+        row = [0] * 256
+        for value in range(1, 256):
+            low = value & -value
+            row[value] = row[value ^ low] ^ window[8 - low.bit_length()]
+        rows.append(tuple(row))
+    return tuple(rows)
 
 
 def toeplitz_hash(data: bytes, key: bytes = MSFT_RSS_KEY) -> int:
     """Compute the 32-bit Toeplitz hash of *data* under *key*.
 
-    Verified against the canonical Microsoft RSS test vectors in the test
-    suite.
+    Table driven: one lookup per input byte into tables built once per
+    key. Verified against the canonical Microsoft RSS test vectors and a
+    bit-at-a-time oracle in the test suite.
     """
     if len(key) < len(data) + 4:
         raise ValueError("RSS key too short for input")
     result = 0
-    # Sliding 32-bit window over the key, shifted one bit per input bit.
-    window = int.from_bytes(key[:4], "big")
-    key_bits = int.from_bytes(key, "big")
-    total_key_bits = len(key) * 8
-    bit_index = 0
-    for byte in data:
-        for bit in range(8):
-            if byte & (0x80 >> bit):
-                shift = total_key_bits - 32 - bit_index
-                window = (key_bits >> shift) & 0xFFFFFFFF
-                result ^= window
-            bit_index += 1
+    for row, byte in zip(_toeplitz_tables(key), data):
+        result ^= row[byte]
     return result
 
 
